@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -410,6 +411,15 @@ def _generic_load():
     return pf.as_vec([x[1] + 1.0, x[2] - 2.0, x[0]])
 
 
+def _finite_positive(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x)) and x > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def cmd_limit_study(args, config, rng):
     params = penalty_params_from(config)
     try:
@@ -420,11 +430,17 @@ def cmd_limit_study(args, config, rng):
         ) from exc
     order = _int_option(config, "basis_order", 2, 1, 3)
     ladder = config.get("ladder", [1.0, 1e2, 1e4, 1e6])
-    if not isinstance(ladder, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in ladder
+    if not isinstance(ladder, list) or not ladder or not all(
+        _finite_positive(x) for x in ladder
     ):
-        raise ConfigError("ladder must be a list of positive numbers")
+        raise ConfigError("ladder must be a non-empty list of finite positive numbers")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("ladder must be strictly increasing")
     models = config.get("models", ["cosserat", "microstrain"])
+    if not isinstance(models, list) or not models or not all(
+        isinstance(m, str) for m in models
+    ):
+        raise ConfigError("models must be a non-empty list of model names")
     unknown = sorted(set(models) - {"cosserat", "microstrain"})
     if unknown:
         raise ConfigError(

@@ -31,7 +31,7 @@ import scipy.linalg
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material
-from .solver import Basis, _dense_gram, _to_dense, assemble as assemble_displacement
+from .solver import Basis, _dense_gram, assemble as assemble_displacement
 from .solver import bubble_basis, load_vector, solve as solve_displacement
 
 MODEL_IDS = (
@@ -331,6 +331,8 @@ def companion_basis(model, u_basis: Basis, augment=True, prune_tol=1e-10):
 
     Linearly dependent candidates are merged away through an L2 Gram
     eigendecomposition, which also orthonormalizes the surviving fields.
+    The fields are formed in coefficient space, by one contraction of the
+    scaled eigenvectors with the dense stack of the candidates.
     """
     cls = companion_class(model)
     gens = {"skew": _SKEW_GENS, "sym": _SYM_GENS, "full": _FULL_GENS}[cls]
@@ -348,32 +350,13 @@ def companion_basis(model, u_basis: Basis, augment=True, prune_tol=1e-10):
         for u in u_basis.fields:
             candidates.append(constrained_companion(model, u))
     # prune to an orthonormal independent set
-    n = len(candidates)
-    D = 0
-    for P in candidates:
-        for p in _mat_flat(P):
-            for (i, j, k) in p.coef:
-                D = max(D, i, j, k)
-    D += 1
-    X = np.zeros((n, 9, D, D, D))
-    for a, P in enumerate(candidates):
-        for q, p in enumerate(_mat_flat(P)):
-            X[a, q] = _to_dense(p, D)
+    X = pf.dense_stack([_mat_flat(P) for P in candidates])
     gram = _dense_gram(X)
     vals, vecs = scipy.linalg.eigh(gram)
     keep = vals > prune_tol * vals[-1]
-    fields = []
-    for col, lam in zip(vecs.T[keep], vals[keep]):
-        scalepref = 1.0 / np.sqrt(lam)
-        out = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                acc = pf.Poly3.zero(cap)
-                for a in np.nonzero(np.abs(col) > 1e-14)[0]:
-                    acc = acc + candidates[a][i, j] * float(col[a] * scalepref)
-                out[i, j] = acc
-        fields.append(out)
-    return fields
+    cols = vecs[:, keep]
+    V = np.where(np.abs(cols) > 1e-14, cols * (1.0 / np.sqrt(vals[keep])), 0.0)
+    return pf.linear_combinations(candidates, V, X)
 
 
 @dataclass
@@ -402,7 +385,6 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     elements = [(u, zero_P) for u in u_basis.fields] + [
         (zero_u, P) for P in companion_fields
     ]
-    n = len(elements)
     term_ops = [op for _, op in _term_list(model, MicromorphicParams())]
     grams = []
     for op in term_ops:
@@ -410,18 +392,7 @@ def coupled_operator_grams(model, u_basis, companion_fields):
         flat = [
             [v] if isinstance(v, pf.Poly3) else list(np.ravel(v)) for v in vals
         ]
-        m = len(flat[0])
-        D = 0
-        for row in flat:
-            for p in row:
-                for (i, j, k) in p.coef:
-                    D = max(D, i, j, k)
-        D += 1
-        X = np.zeros((n, m, D, D, D))
-        for a, row in enumerate(flat):
-            for q, p in enumerate(row):
-                X[a, q] = _to_dense(p, D)
-        grams.append(_dense_gram(X))
+        grams.append(_dense_gram(pf.dense_stack(flat)))
     return grams
 
 
@@ -470,14 +441,8 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     b[:nu] = load_vector(u_basis, f)
     c, residual = _solve_refined(K, b)
     min_eig = float(scipy.linalg.eigvalsh(K)[0])
-    u_h = _zero_u()
-    for coeff, u in zip(c[:nu], u_basis.fields):
-        u_h = pf.as_vec([u_h[i] + u[i] * float(coeff) for i in range(3)])
-    P_h = _zero_P()
-    for coeff, P in zip(c[nu:], companion_fields):
-        P_h = pf.as_mat(
-            [[P_h[i, j] + P[i, j] * float(coeff) for j in range(3)] for i in range(3)]
-        )
+    (u_h,) = pf.linear_combinations(u_basis.fields, c[:nu, None])
+    (P_h,) = pf.linear_combinations(companion_fields, c[nu:, None])
     coupling = _coupling_op(model)(u_h, P_h)
     violation = float(
         np.sqrt(sum(pf.integral_of_product(p, p) for p in _mat_flat(coupling)))

@@ -4,7 +4,8 @@ A Poly3 is a sparse coefficient dictionary keyed by exponent triples. All
 arithmetic is exact up to float rounding of the coefficients themselves;
 differentiation and integration over [0,1]^3 are closed-form. Vector and
 matrix fields are numpy object arrays of Poly3, so the helpers in
-`tensors` apply to them unchanged.
+`tensors` apply to them unchanged. For bulk linear algebra, stacks of
+fields convert to dense per-axis coefficient cubes and back.
 
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
@@ -214,6 +215,71 @@ def integral_of_product(p, q):
         for (d, e, f), v in q.coef.items():
             acc += u * v / ((a + d + 1) * (b + e + 1) * (c + f + 1))
     return acc
+
+
+# --- dense coefficient cubes ---------------------------------------------
+#
+# A dense cube holds the coefficient of x^i y^j z^k at [i, j, k]; D is one
+# more than the largest single-variable exponent. Stacks of fields share one
+# D so that they can be contracted against each other.
+
+
+def dense_degree(polys):
+    deg = 0
+    for p in polys:
+        for (i, j, k) in p.coef:
+            deg = max(deg, i, j, k)
+    return deg
+
+
+def to_dense(p, D):
+    out = np.zeros((D, D, D))
+    for (i, j, k), v in p.coef.items():
+        out[i, j, k] = v
+    return out
+
+
+def from_dense(cube, cap=DEFAULT_CAP):
+    """Poly3 from the nonzero entries of a dense cube."""
+    idx = np.nonzero(cube)
+    return Poly3(dict(zip(zip(*idx), cube[idx])), cap)
+
+
+def dense_stack(rows, D=None):
+    """Array of shape (n, m, D, D, D) from n rows of m Poly3 each.
+
+    D defaults to the smallest size that holds every row.
+    """
+    if D is None:
+        D = dense_degree(p for row in rows for p in row) + 1
+    X = np.zeros((len(rows), len(rows[0]), D, D, D))
+    for a, row in enumerate(rows):
+        for q, p in enumerate(row):
+            X[a, q] = to_dense(p, D)
+    return X
+
+
+def linear_combinations(fields, W, X=None):
+    """The fields sum_a W[a, r] fields[a], one per column r of W.
+
+    fields are equally shaped Poly3 arrays. The sums are formed in
+    coefficient space, by one contraction of W with the dense stack X of
+    the fields (built here unless the caller already has it), so only the
+    summation order differs from term-by-term Poly3 arithmetic. Like a sum,
+    each result takes the largest cap among the fields.
+    """
+    shape = np.shape(fields[0])
+    flat = [np.ravel(F) for F in fields]
+    if X is None:
+        X = dense_stack(flat)
+    cap = max(p.cap for row in flat for p in row)
+    out = []
+    for cubes in np.tensordot(W, X, axes=(0, 0)):
+        F = np.empty(len(cubes), dtype=object)
+        for q, cube in enumerate(cubes):
+            F[q] = from_dense(cube, cap)
+        out.append(F.reshape(shape))
+    return out
 
 
 # --- field constructors -----------------------------------------------

@@ -6,9 +6,9 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-Polynomial bases go through a dense per-axis coefficient representation
-so the pairwise integrals reduce to small einsum contractions; other
-scalar types fall back to exact symbolic products.
+Polynomial bases go through the dense per-axis coefficient cubes of
+`polyfield.dense_stack`, so the pairwise integrals reduce to small einsum
+contractions; other scalar types fall back to exact symbolic products.
 """
 from __future__ import annotations
 
@@ -75,21 +75,6 @@ def sine_basis(order):
 
 
 # --- exact pairwise integrals -------------------------------------------------
-
-
-def _dense_degree(polys):
-    deg = 0
-    for p in polys:
-        for (i, j, k) in p.coef:
-            deg = max(deg, i, j, k)
-    return deg
-
-
-def _to_dense(p, D):
-    out = np.zeros((D, D, D))
-    for (i, j, k), v in p.coef.items():
-        out[i, j, k] = v
-    return out
 
 
 def _dense_gram(X, Y=None):
@@ -166,15 +151,11 @@ def assemble(basis, mat, formulation="curl"):
         for c in cached:
             polys += _flatten9(c["sym"]) + [c["tr"]] + _flatten9(c["devk"])
             polys += _flatten9(c["skwk"]) + _flatten9(c["J"]) + _flatten9(c["k"])
-        D = _dense_degree(polys) + 1
+        D = pf.dense_degree(polys) + 1
 
         def stack(key, m):
-            X = np.zeros((n, m, D, D, D))
-            for a, c in enumerate(cached):
-                vals = _flatten9(c[key]) if m == 9 else [c[key]]
-                for q, p in enumerate(vals):
-                    X[a, q] = _to_dense(p, D)
-            return X
+            rows = [_flatten9(c[key]) if m == 9 else [c[key]] for c in cached]
+            return pf.dense_stack(rows, D)
 
         Xs = stack("sym", 9)
         Xt = stack("tr", 1)
