@@ -46,13 +46,11 @@ _KNOWN_KEYS = {
     "field",
     "test_field",
     "basis_order",
-    "formulation",
     "ladder",
     "penalty_params",
     "degree",
     "scale",
     "face",
-    "direction",
     "export_operator",
 }
 
@@ -159,7 +157,8 @@ def _table(columns, rows):
 
 
 def cmd_verify_identities(args, config, rng):
-    reports = idn.run_suite(seed=args.seed, trials=args.trials,
+    trials = 100 if args.trials is None else args.trials
+    reports = idn.run_suite(seed=args.seed, trials=trials,
                             degree=config.get("degree", 4))
     checks = [
         check(r.name, r.passed, r.magnitude, r.threshold) for r in reports
@@ -168,7 +167,7 @@ def cmd_verify_identities(args, config, rng):
         [r.name, r.kind, r.magnitude, r.threshold, r.passed] for r in reports
     ]
     payload = {
-        "trials": args.trials,
+        "trials": trials,
         "reports": [r.as_dict() for r in reports],
         "table": _table(["name", "kind", "magnitude", "threshold", "passed"], rows),
     }
@@ -208,7 +207,7 @@ def cmd_energy_table(args, config, rng):
 
 def cmd_conformal_report(args, config, rng):
     mat = material_from(config)
-    trials = args.trials if args.trials != 100 else 25
+    trials = 25 if args.trials is None else args.trials
     worst_relation = {}
     class_counts = {}
     checks_state = {
@@ -509,7 +508,7 @@ def cmd_limit_study(args, config, rng):
 
 
 def cmd_lift_check(args, config, rng):
-    trials = args.trials if args.trials != 100 else 50
+    trials = 50 if args.trials is None else args.trials
     degree = config.get("degree", 4)
     worst_corrected = 0.0
     least_printed = float("inf")
@@ -559,6 +558,7 @@ COMMANDS = {
 }
 
 _DEFAULT_FORMAT = {"limit-study": "csv"}
+_TAKES_TRIALS = ("verify-identities", "conformal-report", "lift-check")
 
 
 # --- output ----------------------------------------------------------------
@@ -579,6 +579,16 @@ def render_csv(payload):
     return buf.getvalue()
 
 
+def _trials(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="couplestress",
@@ -589,7 +599,9 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
+        if name in _TAKES_TRIALS:
+            p.add_argument("--trials", type=_trials, default=None,
+                           help="number of random fields")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=["json", "csv"], default=None)
     return parser

@@ -15,27 +15,6 @@ from . import polyfield as pf
 from . import tensors as tn
 
 
-def _scale(A, s):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] * s
-    return out
-
-
-def _sub(A, B):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] - B[idx]
-    return out
-
-
-def _add(A, B):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] + B[idx]
-    return out
-
-
 def _max_abs(A):
     if A.ndim == 1:
         return pf.max_abs_coeff_vec(A)
@@ -53,7 +32,7 @@ def incompatibility_first_order(p):
     """
     a = tn.transpose(pf.mat_curl(tn.sym(p)))
     b = pf.jac(tn.axl(tn.skw(p)))
-    return _sub(a, b)
+    return a - b
 
 
 def incompatibility_second_order(e):
@@ -69,34 +48,34 @@ def master_identity_gap(u):
     J = pf.jac(u)
     a = pf.jac(tn.axl(tn.skw(J)))
     b = tn.transpose(pf.mat_curl(tn.sym(J)))
-    return _sub(a, b)
+    return a - b
 
 
 def rotation_vector_gap(u):
     """2 axl(skw grad u) - curl u."""
-    a = _scale(tn.axl(tn.skw(pf.jac(u))), 2.0)
-    return _sub(a, pf.curl(u))
+    a = tn.axl(tn.skw(pf.jac(u))) * 2.0
+    return a - pf.curl(u)
 
 
 def sym_grad_curl_gap(u):
     """sym grad(curl u) - 2 sym Curl(sym grad u)."""
     a = tn.sym(pf.jac(pf.curl(u)))
-    b = _scale(tn.sym(pf.mat_curl(tn.sym(pf.jac(u)))), 2.0)
-    return _sub(a, b)
+    b = tn.sym(pf.mat_curl(tn.sym(pf.jac(u)))) * 2.0
+    return a - b
 
 
 def skw_grad_curl_gap(u):
     """skw grad(curl u) + 2 skw Curl(sym grad u)."""
     a = tn.skw(pf.jac(pf.curl(u)))
-    b = _scale(tn.skw(pf.mat_curl(tn.sym(pf.jac(u)))), 2.0)
-    return _add(a, b)
+    b = tn.skw(pf.mat_curl(tn.sym(pf.jac(u)))) * 2.0
+    return a + b
 
 
 def curl_transpose_gap(u):
     """[grad curl u]^T - Curl([grad u]^T)."""
     a = tn.transpose(pf.jac(pf.curl(u)))
     b = pf.mat_curl(tn.transpose(pf.jac(u)))
-    return _sub(a, b)
+    return a - b
 
 
 def strain_curl_trace(p):
@@ -111,35 +90,35 @@ def curl_trace_gap(p):
 
 def div_anti_gap(v):
     """Div(anti v) + curl v."""
-    return _add(pf.mat_div(tn.anti(v)), pf.curl(v))
+    return pf.mat_div(tn.anti(v)) + pf.curl(v)
 
 
 def axl_skw_curl_gap(P):
     """axl(skw Curl P) - (1/2)(Div(P^T) - grad tr P)."""
     a = tn.axl(tn.skw(pf.mat_curl(P)))
-    b = _scale(_sub(pf.mat_div(tn.transpose(P)), pf.grad(tn.trace(P))), 0.5)
-    return _sub(a, b)
+    b = (pf.mat_div(tn.transpose(P)) - pf.grad(tn.trace(P))) * 0.5
+    return a - b
 
 
 def nye_gap(A):
     """Curl A + (grad axl A)^T - tr(grad axl A) Id, for skew A."""
     G = pf.jac(tn.axl(A))
-    iso = _scale(tn.identity_like(G), tn.trace(G))
-    return _sub(_add(pf.mat_curl(A), tn.transpose(G)), iso)
+    iso = tn.identity_like(G) * tn.trace(G)
+    return pf.mat_curl(A) + tn.transpose(G) - iso
 
 
 def nye_inverse_gap(A):
     """grad(axl A) + (Curl A)^T - (1/2) tr(Curl A) Id, for skew A."""
     C = pf.mat_curl(A)
-    iso = _scale(tn.identity_like(C), tn.trace(C) * 0.5)
-    return _sub(_add(pf.jac(tn.axl(A)), tn.transpose(C)), iso)
+    iso = tn.identity_like(C) * (tn.trace(C) * 0.5)
+    return pf.jac(tn.axl(A)) + tn.transpose(C) - iso
 
 
 def curl_of_inc_gap(p):
     """Curl(INC(p)) - inc(sym p) for an arbitrary matrix field."""
     a = pf.mat_curl(incompatibility_first_order(p))
     b = incompatibility_second_order(tn.sym(p))
-    return _sub(a, b)
+    return a - b
 
 
 def compatible_inc_gap(u):

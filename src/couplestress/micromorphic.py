@@ -31,8 +31,8 @@ import scipy.linalg
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material
-from .solver import Basis, _dense_gram, assemble as assemble_displacement
-from .solver import bubble_basis, load_vector, solve as solve_displacement
+from .solver import Basis, assemble as assemble_displacement
+from .solver import load_vector, refined_solve, solve as solve_displacement
 
 MODEL_IDS = (
     "cosserat",
@@ -96,28 +96,17 @@ def _check_companion(model, P, tol=0.0):
             raise ValueError(f"{model} companion must be symmetric, skew part {gap}")
 
 
-def _sub(A, B):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] - B[idx]
-    return out
-
-
-def _nsq(A):
-    return tn.norm_sq(A)
-
-
 # --- quadratic term lists -----------------------------------------------------
 
 
 def _coupling_op(model):
     if model in ("cosserat", "degenerate-cosserat"):
-        return lambda u, P: _sub(tn.skw(pf.jac(u)), P)
+        return lambda u, P: tn.skw(pf.jac(u)) - P
     if model == "microstrain":
-        return lambda u, P: _sub(tn.sym(pf.jac(u)), P)
+        return lambda u, P: tn.sym(pf.jac(u)) - P
     if model == "micromorphic":
-        return lambda u, P: _sub(pf.jac(u), P)
-    return lambda u, P: tn.sym(_sub(pf.jac(u), P))
+        return lambda u, P: pf.jac(u) - P
+    return lambda u, P: tn.sym(pf.jac(u) - P)
 
 
 def _curvature_ops(model):
@@ -176,7 +165,7 @@ def micromorphic_energy(u, P, model, params):
     dens = pf.Poly3.zero()
     for w, op in _term_list(model, params):
         val = op(u, P)
-        sq = val * val if isinstance(val, pf.Poly3) else _nsq(val)
+        sq = val * val if isinstance(val, pf.Poly3) else tn.norm_sq(val)
         dens = dens + sq * w
     return dens
 
@@ -350,8 +339,10 @@ def companion_basis(model, u_basis: Basis, augment=True, prune_tol=1e-10):
         for u in u_basis.fields:
             candidates.append(constrained_companion(model, u))
     # prune to an orthonormal independent set
-    X = pf.dense_stack([_mat_flat(P) for P in candidates])
-    gram = _dense_gram(X)
+    rows = [_mat_flat(P) for P in candidates]
+    D, M = pf.dense_layout(p for row in rows for p in row)
+    X = pf.dense_stack(rows, D)
+    gram = pf.dense_gram(X, M)
     vals, vecs = scipy.linalg.eigh(gram)
     keep = vals > prune_tol * vals[-1]
     cols = vecs[:, keep]
@@ -392,7 +383,7 @@ def coupled_operator_grams(model, u_basis, companion_fields):
         flat = [
             [v] if isinstance(v, pf.Poly3) else list(np.ravel(v)) for v in vals
         ]
-        grams.append(_dense_gram(pf.dense_stack(flat)))
+        grams.append(pf.box_gram(flat))
     return grams
 
 
@@ -402,19 +393,6 @@ def coupled_stiffness(model, params, grams):
     for w, G in zip(weights, grams):
         K = K + 2.0 * w * G
     return 0.5 * (K + K.T)
-
-
-def _solve_refined(K, b, sweeps=3):
-    """Dense solve with iterative refinement in extended precision."""
-    lu = scipy.linalg.lu_factor(K)
-    c = scipy.linalg.lu_solve(lu, b)
-    Kl = np.asarray(K, dtype=np.longdouble)
-    bl = np.asarray(b, dtype=np.longdouble)
-    for _ in range(sweeps):
-        r = bl - Kl @ np.asarray(c, dtype=np.longdouble)
-        c = c + scipy.linalg.lu_solve(lu, np.asarray(r, dtype=float))
-    residual = float(np.max(np.abs(Kl @ np.asarray(c, dtype=np.longdouble) - bl)))
-    return np.asarray(c, dtype=float), residual
 
 
 def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
@@ -439,8 +417,7 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     nu = len(u_basis.fields)
     b = np.zeros(K.shape[0])
     b[:nu] = load_vector(u_basis, f)
-    c, residual = _solve_refined(K, b)
-    min_eig = float(scipy.linalg.eigvalsh(K)[0])
+    c, residual, min_eig = refined_solve(K, b)
     (u_h,) = pf.linear_combinations(u_basis.fields, c[:nu, None])
     (P_h,) = pf.linear_combinations(companion_fields, c[nu:, None])
     coupling = _coupling_op(model)(u_h, P_h)

@@ -79,6 +79,18 @@ class Poly3:
         e[_axis(axis)] = 1
         return cls({tuple(e): 1.0}, cap)
 
+    # --- dense layout (see dense_stack) ----------------------------------
+
+    def dense_terms(self):
+        """(per-axis dense index, coefficient) pairs: indexed by exponent."""
+        return self.coef.items()
+
+    @staticmethod
+    def dense_moments(D):
+        """1D moment matrix: the integral of x^i x^j over [0, 1]."""
+        idx = np.arange(D)
+        return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+
     # --- queries --------------------------------------------------------
 
     def degree(self):
@@ -219,23 +231,37 @@ def integral_of_product(p, q):
 
 # --- dense coefficient cubes ---------------------------------------------
 #
-# A dense cube holds the coefficient of x^i y^j z^k at [i, j, k]; D is one
-# more than the largest single-variable exponent. Stacks of fields share one
-# D so that they can be contracted against each other.
+# A dense cube holds the coefficient of one separable term at its per-axis
+# indices [i, j, k]; D is one more than the largest index. Each scalar type
+# lays its terms out through `dense_terms` (monomials by exponent) and gives
+# the 1D integrals of products of its per-axis factors through
+# `dense_moments`. Stacks of fields share one D so that they can be
+# contracted against each other.
 
 
 def dense_degree(polys):
     deg = 0
     for p in polys:
-        for (i, j, k) in p.coef:
+        for (i, j, k), _ in p.dense_terms():
             deg = max(deg, i, j, k)
     return deg
 
 
+def dense_layout(polys):
+    """Shared cube size D and 1D moment matrix of scalars of one type."""
+    polys = list(polys)
+    types = {type(p) for p in polys}
+    if len(types) != 1:
+        names = sorted(t.__name__ for t in types)
+        raise TypeError(f"dense pairing needs one scalar type, got {names}")
+    D = dense_degree(polys) + 1
+    return D, types.pop().dense_moments(D)
+
+
 def to_dense(p, D):
     out = np.zeros((D, D, D))
-    for (i, j, k), v in p.coef.items():
-        out[i, j, k] = v
+    for idx, v in p.dense_terms():
+        out[idx] = v
     return out
 
 
@@ -246,7 +272,7 @@ def from_dense(cube, cap=DEFAULT_CAP):
 
 
 def dense_stack(rows, D=None):
-    """Array of shape (n, m, D, D, D) from n rows of m Poly3 each.
+    """Array of shape (n, m, D, D, D) from n rows of m scalar fields each.
 
     D defaults to the smallest size that holds every row.
     """
@@ -257,6 +283,32 @@ def dense_stack(rows, D=None):
         for q, p in enumerate(row):
             X[a, q] = to_dense(p, D)
     return X
+
+
+def dense_gram(X, M, Y=None):
+    """Pairwise box integrals of stacked dense fields.
+
+    X has shape (n, m, D, D, D) and M is the 1D moment matrix of its scalar
+    type; the result is G[a, b] = sum_m of the integral of X[a, m] * Y[b, m]
+    over the unit box, one moment contraction per axis.
+    """
+    if Y is None:
+        Y = X
+    T = np.einsum("amxyz,xu->amuyz", X, M)
+    T = np.einsum("amuyz,yv->amuvz", T, M)
+    T = np.einsum("amuvz,zw->amuvw", T, M)
+    return np.einsum("amuvw,bmuvw->ab", T, Y)
+
+
+def box_gram(rows, other=None):
+    """Box integrals of rows of scalars of one type, paired row by row.
+
+    Entry [a, b] sums the integrals of rows[a][m] * other[b][m] over m
+    (other defaults to rows), by `dense_gram` on one shared layout.
+    """
+    D, M = dense_layout(p for row in rows + (other or []) for p in row)
+    Y = None if other is None else dense_stack(other, D)
+    return dense_gram(dense_stack(rows, D), M, Y)
 
 
 def linear_combinations(fields, W, X=None):

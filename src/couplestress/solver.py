@@ -6,9 +6,12 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-Polynomial bases go through the dense per-axis coefficient cubes of
-`polyfield.dense_stack`, so the pairwise integrals reduce to small einsum
-contractions; other scalar types fall back to exact symbolic products.
+Every box pairing (stiffness, norm Gram, load, functional norm) is one
+contraction of dense per-axis coefficient cubes, `polyfield.dense_gram`.
+The basis family only chooses the per-axis index of a term and the 1D
+moment matrix: monomial exponents for the bubble basis, sin/cos factors
+for the sine basis. Every linear system goes through one dense solve,
+`refined_solve`.
 """
 from __future__ import annotations
 
@@ -74,36 +77,6 @@ def sine_basis(order):
     return Basis(fields, "sine", order)
 
 
-# --- exact pairwise integrals -------------------------------------------------
-
-
-def _dense_gram(X, Y=None):
-    """Pairwise box integrals of stacked dense fields.
-
-    X has shape (n, m, D, D, D); the result is G[a, b] = sum_m of the
-    integral of X[a, m] * Y[b, m] over the unit box.
-    """
-    if Y is None:
-        Y = X
-    D = X.shape[-1]
-    idx = np.arange(D)
-    M = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
-    T = np.einsum("amxyz,xu->amuyz", X, M)
-    T = np.einsum("amuyz,yv->amuvz", T, M)
-    T = np.einsum("amuvz,zw->amuvw", T, M)
-    return np.einsum("amuvw,bmuvw->ab", T, Y)
-
-
-def _generic_inner(p, q):
-    if isinstance(p, pf.Poly3) and isinstance(q, pf.Poly3):
-        return pf.integral_of_product(p, q)
-    return (p * q).integrate()
-
-
-def _zero_scalar_like(p):
-    return p * 0.0
-
-
 # --- assembly -----------------------------------------------------------------
 
 
@@ -117,15 +90,17 @@ class Assembly:
 
 
 def _cached_quantities(u, formulation):
+    """Rows of scalars paired in K and G, keyed by term."""
     J = pf.jac(u)
-    k = strain_curl(u) if formulation == "curl" else rotation_gradient(u)
+    k_curl = strain_curl(u)
+    k = k_curl if formulation == "curl" else rotation_gradient(u)
     return {
-        "sym": tn.sym(J),
-        "tr": tn.trace(J),
-        "devk": tn.devsym(k),
-        "skwk": tn.skw(k),
-        "J": J,
-        "k": strain_curl(u),
+        "sym": _flatten9(tn.sym(J)),
+        "tr": [tn.trace(J)],
+        "devk": _flatten9(tn.devsym(k)),
+        "skwk": _flatten9(tn.skw(k)),
+        "J": _flatten9(J),
+        "k": _flatten9(k_curl),
     }
 
 
@@ -144,60 +119,18 @@ def assemble(basis, mat, formulation="curl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
     cached = [_cached_quantities(u, formulation) for u in basis.fields]
-    n = len(basis)
+    D, M = pf.dense_layout(p for c in cached for row in c.values() for p in row)
+    gram = {
+        key: pf.dense_gram(pf.dense_stack([c[key] for c in cached], D), M)
+        for key in cached[0]
+    }
     s = mat.curvature_scale
-    if basis.kind == "bubble":
-        polys = []
-        for c in cached:
-            polys += _flatten9(c["sym"]) + [c["tr"]] + _flatten9(c["devk"])
-            polys += _flatten9(c["skwk"]) + _flatten9(c["J"]) + _flatten9(c["k"])
-        D = pf.dense_degree(polys) + 1
-
-        def stack(key, m):
-            rows = [_flatten9(c[key]) if m == 9 else [c[key]] for c in cached]
-            return pf.dense_stack(rows, D)
-
-        Xs = stack("sym", 9)
-        Xt = stack("tr", 1)
-        Xd = stack("devk", 9)
-        Xw = stack("skwk", 9)
-        XJ = stack("J", 9)
-        Xk = stack("k", 9)
-        K = (
-            2.0 * mat.mu * _dense_gram(Xs)
-            + mat.lam * _dense_gram(Xt)
-            + s * (2.0 * mat.alpha1 * _dense_gram(Xd) + 2.0 * mat.alpha2 * _dense_gram(Xw))
-        )
-        G = _dense_gram(XJ) + _dense_gram(Xk)
-    else:
-        K = np.zeros((n, n))
-        G = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                ca, cb = cached[a], cached[b]
-                k_ab = 2.0 * mat.mu * sum(
-                    _generic_inner(p, q)
-                    for p, q in zip(_flatten9(ca["sym"]), _flatten9(cb["sym"]))
-                )
-                k_ab += mat.lam * _generic_inner(ca["tr"], cb["tr"])
-                k_ab += s * 2.0 * mat.alpha1 * sum(
-                    _generic_inner(p, q)
-                    for p, q in zip(_flatten9(ca["devk"]), _flatten9(cb["devk"]))
-                )
-                k_ab += s * 2.0 * mat.alpha2 * sum(
-                    _generic_inner(p, q)
-                    for p, q in zip(_flatten9(ca["skwk"]), _flatten9(cb["skwk"]))
-                )
-                g_ab = sum(
-                    _generic_inner(p, q)
-                    for p, q in zip(_flatten9(ca["J"]), _flatten9(cb["J"]))
-                )
-                g_ab += sum(
-                    _generic_inner(p, q)
-                    for p, q in zip(_flatten9(ca["k"]), _flatten9(cb["k"]))
-                )
-                K[a, b] = K[b, a] = k_ab
-                G[a, b] = G[b, a] = g_ab
+    K = (
+        2.0 * mat.mu * gram["sym"]
+        + mat.lam * gram["tr"]
+        + s * (2.0 * mat.alpha1 * gram["devk"] + 2.0 * mat.alpha2 * gram["skwk"])
+    )
+    G = gram["J"] + gram["k"]
     K = 0.5 * (K + K.T)
     G = 0.5 * (G + G.T)
     return Assembly(basis, mat, formulation, K, G)
@@ -205,9 +138,7 @@ def assemble(basis, mat, formulation="curl"):
 
 def load_vector(basis, f):
     """b_a = integral of <f, basis field a>."""
-    return np.array(
-        [sum(_generic_inner(f[i], u[i]) for i in range(3)) for u in basis.fields]
-    )
+    return pf.box_gram([list(u) for u in basis.fields], [list(f)])[:, 0]
 
 
 def manufactured_load(basis, u_star, mat, boundary_sign=1.0, include_boundary=True):
@@ -247,18 +178,35 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
+def refined_solve(K, b, sweeps=3):
+    """The dense solve: LU with iterative refinement in extended precision.
+
+    Returns the solution, the max-norm residual in long double and the
+    smallest eigenvalue of K. LU rather than Cholesky, so that a numerically
+    indefinite K is reported through its eigenvalue instead of raising.
+    """
+    lu = scipy.linalg.lu_factor(K)
+    c = scipy.linalg.lu_solve(lu, b)
+    Kl = np.asarray(K, dtype=np.longdouble)
+    bl = np.asarray(b, dtype=np.longdouble)
+    for _ in range(sweeps):
+        r = bl - Kl @ np.asarray(c, dtype=np.longdouble)
+        c = c + scipy.linalg.lu_solve(lu, np.asarray(r, dtype=float))
+    residual = float(np.max(np.abs(Kl @ np.asarray(c, dtype=np.longdouble) - bl)))
+    min_eig = float(scipy.linalg.eigvalsh(K)[0])
+    return np.asarray(c, dtype=float), residual, min_eig
+
+
 def solve(assembly, b):
     """Direct solve of K c = b with the energy (1/2) c.K.c - b.c."""
     K = assembly.K
-    c = scipy.linalg.solve(K, b, assume_a="sym")
-    residual = float(np.max(np.abs(K @ c - b)))
+    c, residual, min_eig = refined_solve(K, b)
     energy = float(0.5 * c @ K @ c - b @ c)
-    min_eig = float(scipy.linalg.eigvalsh(K)[0])
     return SolveReport(c, energy, residual, min_eig, len(b), assembly.formulation)
 
 
 def displacement(basis, coefficients):
-    comps = [_zero_scalar_like(basis.fields[0][0])] * 3
+    comps = [basis.fields[0][0] * 0.0] * 3
     for c, u in zip(coefficients, basis.fields):
         for i in range(3):
             comps[i] = comps[i] + u[i] * float(c)
@@ -267,11 +215,8 @@ def displacement(basis, coefficients):
 
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
-    J = pf.jac(u)
-    k = strain_curl(u)
-    val = sum(_generic_inner(p, p) for p in _flatten9(J))
-    val += sum(_generic_inner(p, p) for p in _flatten9(k))
-    return float(np.sqrt(val))
+    row = _flatten9(pf.jac(u)) + _flatten9(strain_curl(u))
+    return float(np.sqrt(pf.box_gram([row])[0, 0]))
 
 
 def recovery_error(basis, coefficients, u_star):
@@ -310,9 +255,6 @@ def sym_curl_bound_ratio(seed=0, trials=20, degree=4):
         u = pf.random_vec_field(rng, degree)
         e = tn.sym(pf.jac(u))
         k = pf.mat_curl(e)
-        num = sum(pf.integral_of_product(p, p) for p in _flatten9(e))
-        num += sum(pf.integral_of_product(p, p) for p in _flatten9(tn.sym(k)))
-        den = sum(pf.integral_of_product(p, p) for p in _flatten9(e))
-        den += sum(pf.integral_of_product(p, p) for p in _flatten9(k))
-        ratios.append(num / den)
+        sq = np.diag(pf.box_gram([_flatten9(e), _flatten9(tn.sym(k)), _flatten9(k)]))
+        ratios.append(float((sq[0] + sq[1]) / (sq[0] + sq[2])))
     return {"min_ratio": min(ratios), "max_ratio": max(ratios), "trials": trials}

@@ -15,48 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material, rotation_gradient, strain_curl
 
 
-def _scale(A, s):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] * s
-    return out
-
-
-def _add(A, B):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] + B[idx]
-    return out
-
-
-def _sub(A, B):
-    out = np.empty(A.shape, dtype=object)
-    for idx in np.ndindex(A.shape):
-        out[idx] = A[idx] - B[idx]
-    return out
-
-
 def couple_stress(k, mat):
     """Constitutive map mu ell^2 (2 a1 dev sym k + 2 a2 skw k)."""
     s = mat.curvature_scale
-    return _add(
-        _scale(tn.devsym(k), 2.0 * mat.alpha1 * s),
-        _scale(tn.skw(k), 2.0 * mat.alpha2 * s),
-    )
+    return tn.devsym(k) * (2.0 * mat.alpha1 * s) + tn.skw(k) * (2.0 * mat.alpha2 * s)
 
 
 def force_stress(u, mat):
     """Classical stress 2 mu sym(grad u) + lam tr(grad u) Id."""
     J = pf.jac(u)
-    iso = _scale(tn.identity_like(J), tn.trace(J) * mat.lam)
-    return _add(_scale(tn.sym(J), 2.0 * mat.mu), iso)
+    iso = tn.identity_like(J) * (tn.trace(J) * mat.lam)
+    return tn.sym(J) * (2.0 * mat.mu) + iso
 
 
 @dataclass
@@ -76,12 +50,12 @@ class StressState:
     @property
     def total_axl(self):
         """sigma - tau_axl, the total force stress of the axl route."""
-        return _sub(self.sigma, self.tau_axl)
+        return self.sigma - self.tau_axl
 
     @property
     def total_curl(self):
         """sigma + tau_curl, the total force stress of the curl route."""
-        return _add(self.sigma, self.tau_curl)
+        return self.sigma + self.tau_curl
 
 
 def assemble(u, mat):
@@ -89,7 +63,7 @@ def assemble(u, mat):
     k_curl = strain_curl(u)
     m_axl = couple_stress(k_axl, mat)
     m_curl = couple_stress(k_curl, mat)
-    tau_axl = _scale(tn.anti(pf.mat_div(m_axl)), 0.5)
+    tau_axl = tn.anti(pf.mat_div(m_axl)) * 0.5
     tau_curl = tn.sym(pf.mat_curl(m_curl))
     return StressState(
         material=mat,
@@ -114,7 +88,7 @@ def equilibrium_residual(state, f=None, formulation="curl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     r = pf.mat_div(total)
     if f is not None:
-        r = _add(r, f)
+        r = r + f
     return r
 
 
@@ -122,28 +96,28 @@ def body_force_for(u, mat, formulation="curl"):
     """Load under which u satisfies the balance equation exactly."""
     state = assemble(u, mat)
     r = equilibrium_residual(state, formulation=formulation)
-    return _scale(r, -1.0)
+    return r * -1.0
 
 
 def divergence_sum(state):
     """Div(tau_curl + tau_axl); identically zero for every field."""
-    return pf.mat_div(_add(state.tau_curl, state.tau_axl))
+    return pf.mat_div(state.tau_curl + state.tau_axl)
 
 
 def divergence_difference(state):
     """Div(tau_curl - tau_axl); nonzero in general, kept as a witness."""
-    return pf.mat_div(_sub(state.tau_curl, state.tau_axl))
+    return pf.mat_div(state.tau_curl - state.tau_axl)
 
 
 def moment_symmetric_gap(state):
     """sym m_axl - sym m_curl; vanishes for every field and material."""
-    return _sub(tn.sym(state.m_axl), tn.sym(state.m_curl))
+    return tn.sym(state.m_axl) - tn.sym(state.m_curl)
 
 
 def moment_transpose_gap(state):
     """m_curl - m_axl^T; vanishes because the constitutive map commutes
     with transposition and the curvatures are mutual transposes."""
-    return _sub(state.m_curl, tn.transpose(state.m_axl))
+    return state.m_curl - tn.transpose(state.m_axl)
 
 
 def structure_report(state):
@@ -151,11 +125,11 @@ def structure_report(state):
     tau_a = state.tau_axl
     tau_c = state.tau_curl
     return {
-        "tau_axl_antisymmetric": pf.max_abs_coeff_mat(_add(tau_a, tn.transpose(tau_a))),
-        "tau_curl_symmetric": pf.max_abs_coeff_mat(_sub(tau_c, tn.transpose(tau_c))),
+        "tau_axl_antisymmetric": pf.max_abs_coeff_mat(tau_a + tn.transpose(tau_a)),
+        "tau_curl_symmetric": pf.max_abs_coeff_mat(tau_c - tn.transpose(tau_c)),
         "divergence_sum": pf.max_abs_coeff_vec(divergence_sum(state)),
         "equilibria_match": pf.max_abs_coeff_vec(
-            _sub(pf.mat_div(state.total_curl), pf.mat_div(state.total_axl))
+            pf.mat_div(state.total_curl) - pf.mat_div(state.total_axl)
         ),
         "sym_moment_gap": pf.max_abs_coeff_mat(moment_symmetric_gap(state)),
         "moment_transpose_gap": pf.max_abs_coeff_mat(moment_transpose_gap(state)),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .stresses import StressState, _add, _scale, _sub
+from .stresses import StressState
 
 _ORIENTATIONS = ("energetic", "appendix")
 
@@ -123,7 +123,7 @@ def traction_curl_form(state: StressState, face: Face):
     n = face.normal
     M = surface_moment_matrix(state.m_curl, n)
     symM = tn.sym(M)
-    t = _sub(tn.matvec(state.total_curl, n), tangential_divergence(symM, face))
+    t = tn.matvec(state.total_curl, n) - tangential_divergence(symM, face)
     g = tn.matvec(symM, n)
     return TractionSet(face, "curl", t, g)
 
@@ -136,8 +136,8 @@ def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
     n = face.normal
     v = tn.matvec(state.m_axl, n)
     corr = tangential_divergence(tn.anti(v), face)
-    t = _sub(tn.matvec(state.total_axl, n), _scale(corr, 0.5 * sign))
-    g = _scale(tn.cross(v, n), 0.5 * sign)
+    t = tn.matvec(state.total_axl, n) - corr * (0.5 * sign)
+    g = tn.cross(v, n) * (0.5 * sign)
     return TractionSet(face, "axl", t, g, orientation=orientation)
 
 
@@ -155,7 +155,7 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
             if n[i] and n[j]:
                 scalar = scalar + symm[i, j] * float(n[i] * n[j])
     corr = tn.cross(n, pf.grad(scalar))
-    t = _sub(tn.matvec(state.total_axl, n), _scale(corr, 0.5))
+    t = tn.matvec(state.total_axl, n) - corr * 0.5
     return TractionSet(face, "axl-mindlin-tiersten", t, pf.zero_vec(), notes={"erroneous": True})
 
 
@@ -286,7 +286,7 @@ def volume_virtual_work(state, test):
     """
     J = pf.jac(test)
     a = tn.inner(state.sigma, tn.sym(J))
-    kt = _scale(pf.jac(pf.curl(test)), 0.5)
+    kt = pf.jac(pf.curl(test)) * 0.5
     b = tn.inner(state.m_axl, kt)
     divt = pf.mat_div(state.total_curl)
     c = sum((divt[i] * test[i] for i in range(3)), pf.Poly3.zero())
@@ -347,7 +347,7 @@ def edge_force(state, face: Face, edge_axis: int, edge_value: float,
     elif formulation == "axl":
         sign = 1.0 if orientation == "energetic" else -1.0
         v = tn.matvec(state.m_axl, face.normal)
-        B = _scale(tn.anti(v), 0.5 * sign)
+        B = tn.anti(v) * (0.5 * sign)
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
     vec = tn.matvec(B, nu)

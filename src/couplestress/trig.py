@@ -4,11 +4,15 @@ A TrigPoly is a linear combination of separable terms
     t1(f1 pi x1) t2(f2 pi x2) t3(f3 pi x3),
 with each factor sin or cos and integer frequency. The family is closed
 under differentiation and multiplication (product-to-sum), and integrals
-over the unit box are closed-form, so the sine-basis solver path can use
-the same exact assembly as the polynomial path.
+over the unit box are closed-form.
 
 Implements the same scalar-field protocol as Poly3 (+, -, *, diff, eval,
-integrate, max_abs_coeff), which is all the field operators need.
+integrate, max_abs_coeff), which is all the field operators need, and the
+same dense layout, so the sine basis is assembled by the same per-axis
+contraction as the bubble basis. The dense index of a factor is 2 f - kind:
+cos0, sin1, cos1, sin2, cos2, ... (sin0 vanishes and never occurs). The
+1D moment of factors i and j is their product-to-sum expansion integrated
+over [0, 1], so each per-axis integral is the one `integrate` computes.
 """
 from __future__ import annotations
 
@@ -81,9 +85,32 @@ class TrigPoly:
 
     @classmethod
     def sine_mode(cls, freqs, amplitude=1.0):
-        """sin(f1 pi x) sin(f2 pi y) sin(f3 pi z)."""
-        key = tuple((SIN, int(f)) for f in freqs)
-        return cls({key: float(amplitude)})
+        """sin(f1 pi x) sin(f2 pi y) sin(f3 pi z), stored at |f|; zero if any f is 0."""
+        key, coeff = [], float(amplitude)
+        for f in freqs:
+            sign, kind, freq = _norm_factor(SIN, int(f))
+            if freq == 0:
+                return cls.zero()
+            key.append((kind, freq))
+            coeff *= sign
+        return cls({tuple(key): coeff})
+
+    def dense_terms(self):
+        """(per-axis dense index, coefficient) pairs: index 2 f - kind per factor."""
+        return [
+            (tuple(2 * f - kind for kind, f in key), v) for key, v in self.coef.items()
+        ]
+
+    @staticmethod
+    def dense_moments(D):
+        """1D moment matrix: the integral of factor i times factor j."""
+        factors = [(i % 2, (i + 1) // 2) for i in range(D)]
+        return np.array(
+            [
+                [sum(c * _int01(k, f) for c, k, f in _mul_factor(*a, *b)) for b in factors]
+                for a in factors
+            ]
+        )
 
     def max_abs_coeff(self):
         if not self.coef:
