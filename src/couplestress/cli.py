@@ -76,26 +76,29 @@ def load_config(path):
     return raw
 
 
-def material_from(config):
-    spec = config.get("material", {})
-    if not isinstance(spec, dict) or set(spec) - _MATERIAL_KEYS:
-        raise ConfigError(f"material must be an object with keys in {sorted(_MATERIAL_KEYS)}")
+def _constants_from(config, key, allowed, cls):
+    """cls built from the finite numbers in the object config[key]."""
+    spec = config.get(key, {})
+    if not isinstance(spec, dict) or set(spec) - allowed:
+        raise ConfigError(f"{key} must be an object with keys in {sorted(allowed)}")
     try:
-        return en.Material(**{k: float(v) for k, v in spec.items()})
+        values = {k: float(v) for k, v in spec.items()}
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{key} values must be finite: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad material values: {exc}") from exc
+        raise ConfigError(f"bad {key} values: {exc}") from exc
+    bad = sorted(k for k, v in values.items() if not math.isfinite(v))
+    if bad:
+        raise ConfigError(f"{key} values must be finite: {', '.join(bad)}")
+    return cls(**values)
+
+
+def material_from(config):
+    return _constants_from(config, "material", _MATERIAL_KEYS, en.Material)
 
 
 def penalty_params_from(config):
-    spec = config.get("penalty_params", {})
-    if not isinstance(spec, dict) or set(spec) - _PENALTY_KEYS:
-        raise ConfigError(
-            f"penalty_params must be an object with keys in {sorted(_PENALTY_KEYS)}"
-        )
-    try:
-        return mm.MicromorphicParams(**{k: float(v) for k, v in spec.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad penalty_params values: {exc}") from exc
+    return _constants_from(config, "penalty_params", _PENALTY_KEYS, mm.MicromorphicParams)
 
 
 def poly_from_terms(terms):
@@ -105,8 +108,10 @@ def poly_from_terms(terms):
     for item in terms:
         try:
             (a, b, c), coeff = item
+            if not math.isfinite(float(coeff)):
+                raise ValueError("coefficient must be finite")
             p = p + pf.Poly3.monomial((int(a), int(b), int(c)), float(coeff))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad polynomial term {item!r}: {exc}") from exc
     return p
 
@@ -139,6 +144,32 @@ def _int_option(config, key, default, low=1, high=64):
     return value
 
 
+# degree 2 is the lowest at which the printed lift signs can be seen to fail;
+# at 8 the lift energy equality already exceeds its absolute 1e-12 bound
+_DEGREES = (2, 6)
+
+
+def _finite_positive(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x)) and x > 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _models_option(config, default, allowed):
+    models = config.get("models", default)
+    if not isinstance(models, list) or not models or not all(
+        isinstance(m, str) for m in models
+    ):
+        raise ConfigError("models must be a non-empty list of model names")
+    unknown = sorted(set(models) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown models: {', '.join(unknown)}")
+    return models
+
+
 # --- check plumbing -----------------------------------------------------------
 
 
@@ -159,7 +190,7 @@ def _table(columns, rows):
 def cmd_verify_identities(args, config, rng):
     trials = 100 if args.trials is None else args.trials
     reports = idn.run_suite(seed=args.seed, trials=trials,
-                            degree=config.get("degree", 4))
+                            degree=_int_option(config, "degree", 4, *_DEGREES))
     checks = [
         check(r.name, r.passed, r.magnitude, r.threshold) for r in reports
     ]
@@ -176,13 +207,11 @@ def cmd_verify_identities(args, config, rng):
 
 def cmd_energy_table(args, config, rng):
     mat = material_from(config)
+    degree = _int_option(config, "degree", 3, *_DEGREES)
+    models = _models_option(config, sorted(en.MODEL_REGISTRY), en.MODEL_REGISTRY)
     u = field_from(config)
     if u is None:
-        u = pf.random_vec_field(rng, config.get("degree", 3))
-    models = config.get("models") or sorted(en.MODEL_REGISTRY)
-    unknown = sorted(set(models) - set(en.MODEL_REGISTRY))
-    if unknown:
-        raise ConfigError(f"unknown models: {', '.join(unknown)}")
+        u = pf.random_vec_field(rng, degree)
     rows = []
     for name in models:
         dens, total = en.evaluate_model(name, u, mat)
@@ -208,6 +237,9 @@ def cmd_energy_table(args, config, rng):
 def cmd_conformal_report(args, config, rng):
     mat = material_from(config)
     trials = 25 if args.trials is None else args.trials
+    scale = config.get("scale", 1.0)
+    if not _finite_positive(scale) or scale > 10:
+        raise ConfigError("scale must be a finite number in (0, 10]")
     worst_relation = {}
     class_counts = {}
     checks_state = {
@@ -218,7 +250,7 @@ def cmd_conformal_report(args, config, rng):
     }
     rows = []
     for _ in range(trials):
-        phi, params = cf.random_conformal(rng, scale=config.get("scale", 1.0))
+        phi, params = cf.random_conformal(rng, scale=scale)
         for key, gap in cf.relations_report(phi, params).items():
             worst_relation[key] = max(worst_relation.get(key, 0.0), gap)
         mc_dens, _ = en.evaluate_model("modified-conformal", phi, mat)
@@ -410,15 +442,6 @@ def _generic_load():
     return pf.as_vec([x[1] + 1.0, x[2] - 2.0, x[0]])
 
 
-def _finite_positive(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(float(x)) and x > 0
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def cmd_limit_study(args, config, rng):
     params = penalty_params_from(config)
     try:
@@ -435,16 +458,8 @@ def cmd_limit_study(args, config, rng):
         raise ConfigError("ladder must be a non-empty list of finite positive numbers")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("ladder must be strictly increasing")
-    models = config.get("models", ["cosserat", "microstrain"])
-    if not isinstance(models, list) or not models or not all(
-        isinstance(m, str) for m in models
-    ):
-        raise ConfigError("models must be a non-empty list of model names")
-    unknown = sorted(set(models) - {"cosserat", "microstrain"})
-    if unknown:
-        raise ConfigError(
-            f"limit-study models must be cosserat/microstrain, got: {', '.join(unknown)}"
-        )
+    models = _models_option(config, ["cosserat", "microstrain"],
+                            ("cosserat", "microstrain"))
     basis = sv.bubble_basis(order)
     f = _generic_load()
     rows = []
@@ -509,7 +524,10 @@ def cmd_limit_study(args, config, rng):
 
 def cmd_lift_check(args, config, rng):
     trials = 50 if args.trials is None else args.trials
-    degree = config.get("degree", 4)
+    degree = _int_option(config, "degree", 4, *_DEGREES)
+    export = config.get("export_operator", False)
+    if not isinstance(export, bool):
+        raise ConfigError("export_operator must be true or false")
     worst_corrected = 0.0
     least_printed = float("inf")
     worst_energy = 0.0
@@ -542,7 +560,7 @@ def cmd_lift_check(args, config, rng):
         "trials": trials,
         "table": _table(["check", "value", "passed"], rows),
     }
-    if config.get("export_operator"):
+    if export:
         payload["operator"] = lf.export_flat(C)
     return payload, checks
 

@@ -31,7 +31,7 @@ import scipy.linalg
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material
-from .solver import Basis, assemble as assemble_displacement
+from .solver import Basis, assemble as assemble_displacement, bubble_scalars
 from .solver import load_vector, refined_solve, solve as solve_displacement
 
 MODEL_IDS = (
@@ -84,15 +84,15 @@ def companion_class(model):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _check_companion(model, P, tol=0.0):
+def _check_companion(model, P):
     cls = companion_class(model)
     if cls == "skew":
         gap = pf.max_abs_coeff_mat(tn.sym(P))
-        if gap > tol:
+        if gap > 0.0:
             raise ValueError(f"{model} companion must be skew, symmetric part {gap}")
     elif cls == "sym":
         gap = pf.max_abs_coeff_mat(tn.skw(P))
-        if gap > tol:
+        if gap > 0.0:
             raise ValueError(f"{model} companion must be symmetric, skew part {gap}")
 
 
@@ -311,11 +311,7 @@ def _matrix_field_from(scalar, G):
     return out
 
 
-def _mat_flat(P):
-    return [P[i, j] for i in range(3) for j in range(3)]
-
-
-def companion_basis(model, u_basis: Basis, augment=True, prune_tol=1e-10):
+def companion_basis(model, u_basis: Basis):
     """Matrix-valued companion span: shaped bubbles plus constraint images.
 
     Linearly dependent candidates are merged away through an L2 Gram
@@ -325,26 +321,19 @@ def companion_basis(model, u_basis: Basis, augment=True, prune_tol=1e-10):
     """
     cls = companion_class(model)
     gens = {"skew": _SKEW_GENS, "sym": _SYM_GENS, "full": _FULL_GENS}[cls]
-    order, cap = u_basis.order, 14
-    xs = [pf.Poly3.variable(ax, cap) for ax in range(3)]
-    bubble = xs[0] * (1.0 - xs[0]) * (1.0 - xs[1]) * xs[1] * xs[2] * (1.0 - xs[2])
-    candidates = []
-    for a in range(order):
-        for b in range(order):
-            for c in range(order):
-                scalar = bubble * pf.Poly3.monomial((a, b, c), 1.0, cap)
-                for G in gens:
-                    candidates.append(_matrix_field_from(scalar, G))
-    if augment:
-        for u in u_basis.fields:
-            candidates.append(constrained_companion(model, u))
+    candidates = [
+        _matrix_field_from(scalar, G)
+        for scalar in bubble_scalars(u_basis.order)
+        for G in gens
+    ]
+    candidates += [constrained_companion(model, u) for u in u_basis.fields]
     # prune to an orthonormal independent set
-    rows = [_mat_flat(P) for P in candidates]
+    rows = [list(np.ravel(P)) for P in candidates]
     D, M = pf.dense_layout(p for row in rows for p in row)
     X = pf.dense_stack(rows, D)
     gram = pf.dense_gram(X, M)
     vals, vecs = scipy.linalg.eigh(gram)
-    keep = vals > prune_tol * vals[-1]
+    keep = vals > 1e-10 * vals[-1]
     cols = vecs[:, keep]
     V = np.where(np.abs(cols) > 1e-14, cols * (1.0 / np.sqrt(vals[keep])), 0.0)
     return pf.linear_combinations(candidates, V, X)
@@ -358,33 +347,22 @@ class CoupledState:
     P: object
 
 
-def _zero_u(cap=14):
-    return pf.as_vec([pf.Poly3.zero(cap)] * 3)
-
-
-def _zero_P(cap=14):
-    return pf.as_mat([[pf.Poly3.zero(cap)] * 3 for _ in range(3)])
-
-
 def coupled_operator_grams(model, u_basis, companion_fields):
     """Gram matrix of every quadratic term, over the product basis.
 
     Returned keyed by term index; weights are applied later so a penalty
     ladder reuses one assembly.
     """
-    zero_u, zero_P = _zero_u(), _zero_P()
+    zero_u, zero_P = pf.zero_vec(14), pf.zero_mat(14)
     elements = [(u, zero_P) for u in u_basis.fields] + [
         (zero_u, P) for P in companion_fields
     ]
     term_ops = [op for _, op in _term_list(model, MicromorphicParams())]
-    grams = []
-    for op in term_ops:
-        vals = [op(u, P) for (u, P) in elements]
-        flat = [
-            [v] if isinstance(v, pf.Poly3) else list(np.ravel(v)) for v in vals
-        ]
-        grams.append(pf.box_gram(flat))
-    return grams
+    # np.ravel makes a one-entry row of a scalar term
+    return [
+        pf.box_gram([list(np.ravel(op(u, P))) for (u, P) in elements])
+        for op in term_ops
+    ]
 
 
 def coupled_stiffness(model, params, grams):
@@ -421,9 +399,7 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     (u_h,) = pf.linear_combinations(u_basis.fields, c[:nu, None])
     (P_h,) = pf.linear_combinations(companion_fields, c[nu:, None])
     coupling = _coupling_op(model)(u_h, P_h)
-    violation = float(
-        np.sqrt(sum(pf.integral_of_product(p, p) for p in _mat_flat(coupling)))
-    )
+    violation = float(np.sqrt(pf.box_gram([list(np.ravel(coupling))])[0, 0]))
     energy = float(0.5 * c @ K @ c - b @ c)
     state = CoupledState(model, params, u_h, P_h)
     report = {

@@ -6,8 +6,9 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-Every box pairing (stiffness, norm Gram, load, functional norm) is one
-contraction of dense per-axis coefficient cubes, `polyfield.dense_gram`.
+Every pairing (stiffness, norm Gram, load and its face double-force work,
+functional norm) is one contraction of dense per-axis coefficient cubes,
+`polyfield.dense_gram`.
 The basis family only chooses the per-axis index of a term and the 1D
 moment matrix: monomial exponents for the bubble basis, sin/cos factors
 for the sine basis. Every linear system goes through one dense solve,
@@ -15,7 +16,8 @@ for the sine basis. Every linear system goes through one dense solve,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,25 +43,28 @@ class Basis:
         return len(self.fields)
 
 
-def bubble_basis(order, cap=14):
-    """Fields B(x) x^a y^b z^c e_d with exponents below `order`.
+BUBBLE_CAP = 14
 
-    B is the product bubble x(1-x) y(1-y) z(1-z), so every field and its
-    first derivatives vanish nowhere one needs them to and the field itself
-    is zero on all six faces. Dimension 3 order^3.
+
+def bubble_scalars(order):
+    """Scalars B(x) x^a y^b z^c, exponents below `order` and a slowest.
+
+    B is the product bubble x(1-x) y(1-y) z(1-z), zero on all six faces.
     """
-    xs = [pf.Poly3.variable(ax, cap) for ax in range(3)]
+    xs = [pf.Poly3.variable(ax, BUBBLE_CAP) for ax in range(3)]
     bubble = xs[0] * (1.0 - xs[0]) * (1.0 - xs[1]) * xs[1] * xs[2] * (1.0 - xs[2])
+    exps = itertools.product(range(order), repeat=3)
+    return [bubble * pf.Poly3.monomial(e, 1.0, BUBBLE_CAP) for e in exps]
+
+
+def bubble_basis(order):
+    """Fields B(x) x^a y^b z^c e_d from `bubble_scalars`, dimension 3 order^3."""
     fields = []
-    for a in range(order):
-        for b in range(order):
-            for c in range(order):
-                mono = pf.Poly3.monomial((a, b, c), 1.0, cap)
-                scalar = bubble * mono
-                for d in range(3):
-                    comps = [pf.Poly3.zero(scalar.cap)] * 3
-                    comps[d] = scalar
-                    fields.append(pf.as_vec(comps))
+    for scalar in bubble_scalars(order):
+        for d in range(3):
+            comps = [pf.Poly3.zero(scalar.cap)] * 3
+            comps[d] = scalar
+            fields.append(pf.as_vec(comps))
     return Basis(fields, "bubble", order)
 
 
@@ -95,17 +100,13 @@ def _cached_quantities(u, formulation):
     k_curl = strain_curl(u)
     k = k_curl if formulation == "curl" else rotation_gradient(u)
     return {
-        "sym": _flatten9(tn.sym(J)),
+        "sym": list(np.ravel(tn.sym(J))),
         "tr": [tn.trace(J)],
-        "devk": _flatten9(tn.devsym(k)),
-        "skwk": _flatten9(tn.skw(k)),
-        "J": _flatten9(J),
-        "k": _flatten9(k_curl),
+        "devk": list(np.ravel(tn.devsym(k))),
+        "skwk": list(np.ravel(tn.skw(k))),
+        "J": list(np.ravel(J)),
+        "k": list(np.ravel(k_curl)),
     }
-
-
-def _flatten9(M):
-    return [M[i, j] for i in range(3) for j in range(3)]
 
 
 def assemble(basis, mat, formulation="curl"):
@@ -141,7 +142,7 @@ def load_vector(basis, f):
     return pf.box_gram([list(u) for u in basis.fields], [list(f)])[:, 0]
 
 
-def manufactured_load(basis, u_star, mat, boundary_sign=1.0, include_boundary=True):
+def manufactured_load(basis, u_star, mat, include_boundary=True):
     """Load vector under which u_star solves the discrete problem exactly.
 
     Volume part: f = -Div(sigma + tau) of u_star. Basis fields vanish on
@@ -149,21 +150,22 @@ def manufactured_load(basis, u_star, mat, boundary_sign=1.0, include_boundary=Tr
     boundary condition of u_star contributes face double-force work
     <g(u_star), grad v . n> that must be added to the load; dropping it is
     a genuine (demonstrable) error, not a simplification.
+
+    The face work is paired as a box integral of face traces: a trace has
+    exponent 0 on the normal axis, whose moment 1/(0+0+1) is 1.
     """
     state = assemble_stresses(u_star, mat)
     r = pf.mat_div(state.total_curl)
     f = pf.as_vec([r[i] * (-1.0) for i in range(3)])
     b = load_vector(basis, f)
     if include_boundary:
+        jacs = [pf.jac(v) for v in basis.fields]
         for face in ALL_FACES:
             g = traction_curl_form(state, face).double_force
-            n = face.normal
-            for a, v in enumerate(basis.fields):
-                dn = tn.matvec(pf.jac(v), n)
-                term = sum(
-                    face.integrate(g[i] * dn[i]) for i in range(3)
-                )
-                b[a] += boundary_sign * term
+            dn_rows = [
+                [face.restrict(p) for p in tn.matvec(J, face.normal)] for J in jacs
+            ]
+            b += pf.box_gram(dn_rows, [[face.restrict(p) for p in g]])[:, 0]
     return f, b
 
 
@@ -175,10 +177,9 @@ class SolveReport:
     min_eigenvalue: float
     dim: int
     formulation: str
-    extras: dict = field(default_factory=dict)
 
 
-def refined_solve(K, b, sweeps=3):
+def refined_solve(K, b):
     """The dense solve: LU with iterative refinement in extended precision.
 
     Returns the solution, the max-norm residual in long double and the
@@ -189,7 +190,7 @@ def refined_solve(K, b, sweeps=3):
     c = scipy.linalg.lu_solve(lu, b)
     Kl = np.asarray(K, dtype=np.longdouble)
     bl = np.asarray(b, dtype=np.longdouble)
-    for _ in range(sweeps):
+    for _ in range(3):
         r = bl - Kl @ np.asarray(c, dtype=np.longdouble)
         c = c + scipy.linalg.lu_solve(lu, np.asarray(r, dtype=float))
     residual = float(np.max(np.abs(Kl @ np.asarray(c, dtype=np.longdouble) - bl)))
@@ -215,7 +216,7 @@ def displacement(basis, coefficients):
 
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
-    row = _flatten9(pf.jac(u)) + _flatten9(strain_curl(u))
+    row = list(np.ravel(pf.jac(u))) + list(np.ravel(strain_curl(u)))
     return float(np.sqrt(pf.box_gram([row])[0, 0]))
 
 
@@ -225,7 +226,7 @@ def recovery_error(basis, coefficients, u_star):
     return functional_norm(diff)
 
 
-def coercivity_estimate(mat, orders=(1, 2, 3), formulation="curl"):
+def coercivity_estimate(mat, orders=(1, 2, 3)):
     """Smallest generalized eigenvalue of K against the norm Gram, per order.
 
     Nonincreasing in the order (nested spans) and bounded away from zero;
@@ -233,7 +234,7 @@ def coercivity_estimate(mat, orders=(1, 2, 3), formulation="curl"):
     """
     out = []
     for order in orders:
-        asm = assemble(bubble_basis(order), mat, formulation)
+        asm = assemble(bubble_basis(order), mat)
         lam = float(scipy.linalg.eigvalsh(asm.K, asm.G)[0])
         out.append({"order": order, "dim": len(asm.basis), "lambda_min": lam})
     return out
@@ -255,6 +256,6 @@ def sym_curl_bound_ratio(seed=0, trials=20, degree=4):
         u = pf.random_vec_field(rng, degree)
         e = tn.sym(pf.jac(u))
         k = pf.mat_curl(e)
-        sq = np.diag(pf.box_gram([_flatten9(e), _flatten9(tn.sym(k)), _flatten9(k)]))
+        sq = np.diag(pf.box_gram([list(np.ravel(M)) for M in (e, tn.sym(k), k)]))
         ratios.append(float((sq[0] + sq[1]) / (sq[0] + sq[2])))
     return {"min_ratio": min(ratios), "max_ratio": max(ratios), "trials": trials}
