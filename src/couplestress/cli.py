@@ -3,7 +3,10 @@
 Every command runs a suite of contracts, writes structured JSON or CSV,
 and prints a one-line PASS/FAIL summary per contract. Exit status: 0 when
 every contract passes, 1 on a contract violation (the first failing
-invariant is named on stderr), 2 on a malformed config.
+invariant is named on stderr), 2 on a malformed config, including a
+known key that the command does not read. A check whose value is not
+finite fails, and JSON writes such values as the strings "nan", "inf" and
+"-inf", so a report is always valid JSON.
 
 Randomness is confined to a single seeded generator per run, the seed is
 recorded in every output, and JSON output is byte-identical for identical
@@ -16,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -40,19 +44,18 @@ class ConfigError(Exception):
 
 # --- config ----------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "material",
-    "models",
-    "field",
-    "test_field",
-    "basis_order",
-    "ladder",
-    "penalty_params",
-    "degree",
-    "scale",
-    "face",
-    "export_operator",
+# The config keys each command reads; a known key that a command does not
+# read is refused rather than silently ignored.
+_READS = {
+    "verify-identities": {"degree"},
+    "energy-table": {"material", "degree", "models", "field"},
+    "conformal-report": {"material", "scale"},
+    "traction-compare": {"face", "test_field"},
+    "solve": {"material", "basis_order"},
+    "limit-study": {"penalty_params", "basis_order", "ladder", "models"},
+    "lift-check": {"degree", "export_operator"},
 }
+_KNOWN_KEYS = set().union(*_READS.values())
 
 _MATERIAL_KEYS = {"mu", "lam", "alpha1", "alpha2", "ell"}
 _PENALTY_KEYS = {"mu", "lam", "ell", "alpha1", "alpha2", "alpha3"}
@@ -173,8 +176,15 @@ def _models_option(config, default, allowed):
 # --- check plumbing -----------------------------------------------------------
 
 
+def _finite(value):
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, numbers.Real) or math.isfinite(value)
+
+
 def check(name, passed, value, threshold=None):
-    row = {"name": name, "passed": bool(passed), "value": value}
+    """One contract row; a non-finite value fails whatever passed says."""
+    row = {"name": name, "passed": bool(passed) and _finite(value), "value": value}
     if threshold is not None:
         row["threshold"] = threshold
     return row
@@ -582,8 +592,19 @@ _TAKES_TRIALS = ("verify-identities", "conformal-report", "lift-check")
 # --- output ----------------------------------------------------------------
 
 
+def _json_safe(x):
+    """x with every non-finite float written as "nan", "inf" or "-inf"."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
+
+
 def render_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(payload):
@@ -630,6 +651,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        unread = sorted(set(config) - _READS[args.command])
+        if unread:
+            raise ConfigError("; ".join(
+                f"config key {k} is not read by {args.command}" for k in unread))
         rng = np.random.default_rng(args.seed)
         extras, checks = COMMANDS[args.command](args, config, rng)
     except ConfigError as exc:

@@ -5,7 +5,10 @@ arithmetic is exact up to float rounding of the coefficients themselves;
 differentiation and integration over [0,1]^3 are closed-form. Vector and
 matrix fields are numpy object arrays of Poly3, so the helpers in
 `tensors` apply to them unchanged. For bulk linear algebra, stacks of
-fields convert to dense per-axis coefficient cubes and back.
+fields convert to dense per-axis coefficient cubes and back. A
+`DenseBatch` holds one such stack as a scalar: the field operators run on
+object arrays of batches unchanged and evaluate every field of the stack
+in one pass, with diff as a 1D matrix contraction per axis.
 
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
@@ -90,6 +93,24 @@ class Poly3:
         """1D moment matrix: the integral of x^i x^j over [0, 1]."""
         idx = np.arange(D)
         return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+
+    @staticmethod
+    def dense_diff(D):
+        """1D derivative matrix R[out, in]: d/dx x^i = i x^(i-1)."""
+        idx = np.arange(1, D)
+        R = np.zeros((D, D))
+        R[idx - 1, idx] = idx
+        return R
+
+    @staticmethod
+    def dense_size(D):
+        """Every layout is closed under d/dx."""
+        return D
+
+    @staticmethod
+    def dense_values(D, t):
+        """Values of x^0 .. x^(D-1) at x = t."""
+        return float(t) ** np.arange(D)
 
     # --- queries --------------------------------------------------------
 
@@ -235,8 +256,10 @@ def integral_of_product(p, q):
 # indices [i, j, k]; D is one more than the largest index. Each scalar type
 # lays its terms out through `dense_terms` (monomials by exponent) and gives
 # the 1D integrals of products of its per-axis factors through
-# `dense_moments`. Stacks of fields share one D so that they can be
-# contracted against each other.
+# `dense_moments` and the 1D derivative matrix through `dense_diff`; Poly3
+# also gives the 1D point values for face traces through `dense_values`.
+# Stacks of fields share one D so that they can be contracted against each
+# other.
 
 
 def dense_degree(polys):
@@ -247,15 +270,21 @@ def dense_degree(polys):
     return deg
 
 
-def dense_layout(polys):
-    """Shared cube size D and 1D moment matrix of scalars of one type."""
-    polys = list(polys)
+def _dense_family(polys):
+    """The one scalar type of polys; TypeError on mixed types."""
     types = {type(p) for p in polys}
     if len(types) != 1:
         names = sorted(t.__name__ for t in types)
         raise TypeError(f"dense pairing needs one scalar type, got {names}")
+    return types.pop()
+
+
+def dense_layout(polys):
+    """Shared cube size D and 1D moment matrix of scalars of one type."""
+    polys = list(polys)
+    family = _dense_family(polys)
     D = dense_degree(polys) + 1
-    return D, types.pop().dense_moments(D)
+    return D, family.dense_moments(D)
 
 
 def to_dense(p, D):
@@ -285,19 +314,155 @@ def dense_stack(rows, D=None):
     return X
 
 
+GRAM_BLOCK = 32  # rows of X contracted at once by dense_gram
+
+
 def dense_gram(X, M, Y=None):
     """Pairwise box integrals of stacked dense fields.
 
     X has shape (n, m, D, D, D) and M is the 1D moment matrix of its scalar
     type; the result is G[a, b] = sum_m of the integral of X[a, m] * Y[b, m]
-    over the unit box, one moment contraction per axis.
+    over the unit box. Each block of GRAM_BLOCK rows of X takes one moment
+    contraction per axis and then one matrix product with the flattened Y,
+    so the work space stays the size of one block.
     """
     if Y is None:
         Y = X
-    T = np.einsum("amxyz,xu->amuyz", X, M)
-    T = np.einsum("amuyz,yv->amuvz", T, M)
-    T = np.einsum("amuvz,zw->amuvw", T, M)
-    return np.einsum("amuvw,bmuvw->ab", T, Y)
+    n, m, D = X.shape[:3]
+    Yf = Y.reshape(len(Y), -1)
+    G = np.empty((n, len(Y)))
+    for a in range(0, n, GRAM_BLOCK):
+        T = X[a:a + GRAM_BLOCK] @ M
+        T = M.T @ T
+        T = M.T @ T.reshape(len(T), m, D, D * D)
+        G[a:a + GRAM_BLOCK] = T.reshape(len(T), -1) @ Yf.T
+    return G
+
+
+class DenseBatch:
+    """n scalar fields of one family as one (n, D, D, D) coefficient array.
+
+    A batch stands in for a scalar inside the field operators (`jac`,
+    `mat_curl`, the `tensors` algebra), so one call of an operator on an
+    object array of batches evaluates it on every field of the stack at
+    once. diff is one contraction with the family's 1D derivative matrix;
+    sums, differences and float multiples act on the whole array. The only
+    product of two batches is by a batch that is constant in space, which
+    `tensors.identity_like` and `tensors.sph` need; any other raises
+    TypeError. There is no __len__, __getitem__ or __array__, so numpy
+    holds a batch as one object entry.
+    """
+
+    __slots__ = ("coef", "family")
+
+    def __init__(self, coef, family):
+        self.coef = coef
+        self.family = family
+
+    def _like(self, coef):
+        return DenseBatch(coef, self.family)
+
+    def _same(self, other):
+        if not isinstance(other, DenseBatch):
+            return False
+        if other.family is not self.family or other.coef.shape != self.coef.shape:
+            raise TypeError("batches of different families or layouts")
+        return True
+
+    def _constant(self):
+        """Per-field constants, or None unless the batch is constant in space."""
+        flat = self.coef.reshape(len(self.coef), -1)
+        return None if np.any(flat[:, 1:]) else flat[:, 0]
+
+    def __add__(self, other):
+        if not self._same(other):
+            return NotImplemented
+        return self._like(self.coef + other.coef)
+
+    def __sub__(self, other):
+        if not self._same(other):
+            return NotImplemented
+        return self._like(self.coef - other.coef)
+
+    def __neg__(self):
+        return self._like(-self.coef)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            return self._like(self.coef * float(other))
+        if not self._same(other):
+            return NotImplemented
+        for const, field in ((other._constant(), self), (self._constant(), other)):
+            if const is not None:
+                return self._like(field.coef * const[:, None, None, None])
+        raise TypeError("product of two batches that are not constant in space")
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n != 0:
+            raise TypeError("a batch has only the power 0")
+        coef = np.zeros_like(self.coef)
+        coef[:, 0, 0, 0] = 1.0  # index 0 is the constant in every family
+        return self._like(coef)
+
+    def diff(self, axis):
+        ax = _axis(axis)
+        R = self.family.dense_diff(self.coef.shape[-1])
+        return self._like(np.moveaxis(np.tensordot(R, self.coef, (1, ax + 1)), 0, ax + 1))
+
+    def restrict(self, axis, value):
+        """Substitute one variable by a constant: the trace moves to index 0."""
+        ax = _axis(axis)
+        vals = self.family.dense_values(self.coef.shape[-1], value)
+        coef = np.zeros_like(self.coef)
+        at = [slice(None)] * 4
+        at[ax + 1] = 0
+        coef[tuple(at)] = np.tensordot(self.coef, vals, (ax + 1, 0))
+        return self._like(coef)
+
+
+def batch_fields(fields):
+    """Equally shaped fields of one family as one field of DenseBatch entries.
+
+    Entry q of the result holds component q of every field, on the smallest
+    layout that holds them all and is closed under d/dx.
+    """
+    flat = [np.ravel(F) for F in fields]
+    family = _dense_family(p for row in flat for p in row)
+    D = family.dense_size(dense_degree(p for row in flat for p in row) + 1)
+    X = dense_stack(flat, D)
+    out = np.empty(X.shape[1], dtype=object)
+    for q in range(X.shape[1]):
+        out[q] = DenseBatch(X[:, q], family)
+    return out.reshape(np.shape(fields[0]))
+
+
+def batch_gram(rows, other=None):
+    """Box integrals of batched fields, paired field by field.
+
+    rows and other (which defaults to rows) each hold m DenseBatch of one
+    family, as one batch or an array or list of them; entry [a, b] sums the
+    integrals of field a of rows[q] times field b of other[q] over q, by
+    `dense_gram` on the smallest layout that holds both.
+    """
+    rows = list(np.ravel(rows))
+    other = None if other is None else list(np.ravel(other))
+    batches = rows + (other or [])
+    family = batches[0].family
+    if any(p.family is not family for p in batches):
+        raise TypeError("dense pairing needs one scalar family")
+    D = max(p.coef.shape[-1] for p in batches)
+
+    def stack(row):
+        X = np.zeros((len(row[0].coef), len(row), D, D, D))
+        for q, p in enumerate(row):
+            d = p.coef.shape[-1]
+            X[:, q, :d, :d, :d] = p.coef
+        return X
+
+    Y = None if other is None else stack(other)
+    return dense_gram(stack(rows), family.dense_moments(D), Y)
 
 
 def box_gram(rows, other=None):

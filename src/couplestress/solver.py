@@ -6,13 +6,17 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-Every pairing (stiffness, norm Gram, load and its face double-force work,
-functional norm) is one contraction of dense per-axis coefficient cubes,
-`polyfield.dense_gram`.
-The basis family only chooses the per-axis index of a term and the 1D
-moment matrix: monomial exponents for the bubble basis, sin/cos factors
-for the sine basis. Every linear system goes through one dense solve,
-`refined_solve`.
+The operators (`jac`, the two curvature routes, the tensor projections)
+run once per assembly on the whole basis, stacked as one
+`polyfield.DenseBatch` per component, and every pairing (stiffness, norm
+Gram, load and its face double-force work, functional norm) is one
+contraction of dense per-axis coefficient cubes, `polyfield.dense_gram`.
+Since the same operator code runs on the batch as on a single field, the
+curl-against-axl agreement of K still tests the identity between the two
+routes. The basis family only chooses the per-axis index of a term and
+its 1D moment and derivative matrices: monomial exponents for the bubble
+basis, sin/cos factors for the sine basis. Every linear system goes
+through one dense solve, `refined_solve`.
 """
 from __future__ import annotations
 
@@ -94,44 +98,31 @@ class Assembly:
     G: np.ndarray
 
 
-def _cached_quantities(u, formulation):
-    """Rows of scalars paired in K and G, keyed by term."""
-    J = pf.jac(u)
-    k_curl = strain_curl(u)
-    k = k_curl if formulation == "curl" else rotation_gradient(u)
-    return {
-        "sym": list(np.ravel(tn.sym(J))),
-        "tr": [tn.trace(J)],
-        "devk": list(np.ravel(tn.devsym(k))),
-        "skwk": list(np.ravel(tn.skw(k))),
-        "J": list(np.ravel(J)),
-        "k": list(np.ravel(k_curl)),
-    }
-
-
 def assemble(basis, mat, formulation="curl"):
     """Stiffness K and functional-norm Gram G, both exactly integrated.
 
     K is the bilinear form 2 mu <sym Ju, sym Jv> + lam tr Ju tr Jv
     + mu ell^2 (2 a1 <dev sym ku, dev sym kv> + 2 a2 <skw ku, skw kv>);
     G is the Gram of |grad u|^2 + |Curl sym grad u|^2.
+
+    The operators run once, on the whole basis as one batch; each term is
+    paired as soon as it is formed, so only one term's stack is alive.
     """
     if formulation not in ("curl", "axl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
-    cached = [_cached_quantities(u, formulation) for u in basis.fields]
-    D, M = pf.dense_layout(p for c in cached for row in c.values() for p in row)
-    gram = {
-        key: pf.dense_gram(pf.dense_stack([c[key] for c in cached], D), M)
-        for key in cached[0]
-    }
+    U = pf.batch_fields(basis.fields)
+    J = pf.jac(U)
+    k_curl = strain_curl(U)
+    k = k_curl if formulation == "curl" else rotation_gradient(U)
+    gram = pf.batch_gram
     s = mat.curvature_scale
     K = (
-        2.0 * mat.mu * gram["sym"]
-        + mat.lam * gram["tr"]
-        + s * (2.0 * mat.alpha1 * gram["devk"] + 2.0 * mat.alpha2 * gram["skwk"])
+        2.0 * mat.mu * gram(tn.sym(J))
+        + mat.lam * gram(tn.trace(J))
+        + s * (2.0 * mat.alpha1 * gram(tn.devsym(k)) + 2.0 * mat.alpha2 * gram(tn.skw(k)))
     )
-    G = gram["J"] + gram["k"]
+    G = gram(J) + gram(k_curl)
     K = 0.5 * (K + K.T)
     G = 0.5 * (G + G.T)
     return Assembly(basis, mat, formulation, K, G)
@@ -139,7 +130,7 @@ def assemble(basis, mat, formulation="curl"):
 
 def load_vector(basis, f):
     """b_a = integral of <f, basis field a>."""
-    return pf.box_gram([list(u) for u in basis.fields], [list(f)])[:, 0]
+    return pf.batch_gram(pf.batch_fields(basis.fields), pf.batch_fields([f]))[:, 0]
 
 
 def manufactured_load(basis, u_star, mat, include_boundary=True):
@@ -151,21 +142,22 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     <g(u_star), grad v . n> that must be added to the load; dropping it is
     a genuine (demonstrable) error, not a simplification.
 
-    The face work is paired as a box integral of face traces: a trace has
-    exponent 0 on the normal axis, whose moment 1/(0+0+1) is 1.
+    The u_star side stays symbolic (the strong form). On the basis side,
+    grad v . n comes from one batched `jac`, and its face trace has index 0
+    on the normal axis, whose moment is 1, so its box integral is its face
+    integral.
     """
     state = assemble_stresses(u_star, mat)
     r = pf.mat_div(state.total_curl)
     f = pf.as_vec([r[i] * (-1.0) for i in range(3)])
     b = load_vector(basis, f)
     if include_boundary:
-        jacs = [pf.jac(v) for v in basis.fields]
+        J = pf.jac(pf.batch_fields(basis.fields))
         for face in ALL_FACES:
             g = traction_curl_form(state, face).double_force
-            dn_rows = [
-                [face.restrict(p) for p in tn.matvec(J, face.normal)] for J in jacs
-            ]
-            b += pf.box_gram(dn_rows, [[face.restrict(p) for p in g]])[:, 0]
+            dn = [face.restrict(p) for p in tn.matvec(J, face.normal)]
+            trace = pf.batch_fields([[face.restrict(p) for p in g]])
+            b += pf.batch_gram(dn, trace)[:, 0]
     return f, b
 
 
@@ -207,17 +199,16 @@ def solve(assembly, b):
 
 
 def displacement(basis, coefficients):
-    comps = [basis.fields[0][0] * 0.0] * 3
-    for c, u in zip(coefficients, basis.fields):
-        for i in range(3):
-            comps[i] = comps[i] + u[i] * float(c)
-    return pf.as_vec(comps)
+    """The field sum_a c_a v_a of a bubble (Poly3) basis."""
+    (u,) = pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
+    return u
 
 
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
-    row = list(np.ravel(pf.jac(u))) + list(np.ravel(strain_curl(u)))
-    return float(np.sqrt(pf.box_gram([row])[0, 0]))
+    U = pf.batch_fields([u])
+    row = [*np.ravel(pf.jac(U)), *np.ravel(strain_curl(U))]
+    return float(np.sqrt(pf.batch_gram(row)[0, 0]))
 
 
 def recovery_error(basis, coefficients, u_star):
@@ -251,11 +242,10 @@ def sym_curl_bound_ratio(seed=0, trials=20, degree=4):
     smallest ratio, which must stay strictly positive.
     """
     rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(trials):
-        u = pf.random_vec_field(rng, degree)
-        e = tn.sym(pf.jac(u))
-        k = pf.mat_curl(e)
-        sq = np.diag(pf.box_gram([list(np.ravel(M)) for M in (e, tn.sym(k), k)]))
-        ratios.append(float((sq[0] + sq[1]) / (sq[0] + sq[2])))
-    return {"min_ratio": min(ratios), "max_ratio": max(ratios), "trials": trials}
+    U = pf.batch_fields([pf.random_vec_field(rng, degree) for _ in range(trials)])
+    e = tn.sym(pf.jac(U))
+    k = pf.mat_curl(e)
+    e2, sk2, k2 = (np.diag(pf.batch_gram(M)) for M in (e, tn.sym(k), k))
+    ratios = (e2 + sk2) / (e2 + k2)
+    return {"min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),
+            "trials": trials}

@@ -13,6 +13,8 @@ contraction as the bubble basis. The dense index of a factor is 2 f - kind:
 cos0, sin1, cos1, sin2, cos2, ... (sin0 vanishes and never occurs). The
 1D moment of factors i and j is their product-to-sum expansion integrated
 over [0, 1], so each per-axis integral is the one `integrate` computes.
+The 1D derivative matrix maps sin f to f pi cos f and cos f to -f pi sin f,
+so a layout closed under d/dx ends on a cosine and has odd size.
 """
 from __future__ import annotations
 
@@ -111,6 +113,26 @@ class TrigPoly:
                 for a in factors
             ]
         )
+
+    @staticmethod
+    def dense_diff(D):
+        """1D derivative matrix R[out, in] on an odd D (closed under d/dx).
+
+        sin f (index 2f - 1) maps to f pi cos f (index 2f), and cos f maps
+        to -f pi sin f.
+        """
+        if D % 2 == 0:
+            raise ValueError(f"trig layout of even size {D} is not closed under d/dx")
+        R = np.zeros((D, D))
+        for f in range(1, (D + 1) // 2):
+            R[2 * f, 2 * f - 1] = f * math.pi
+            R[2 * f - 1, 2 * f] = -f * math.pi
+        return R
+
+    @staticmethod
+    def dense_size(D):
+        """Smallest odd size from D: the top sine needs its cosine."""
+        return D | 1
 
     def max_abs_coeff(self):
         if not self.coef:
