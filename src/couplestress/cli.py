@@ -4,9 +4,10 @@ Every command runs a suite of contracts, writes structured JSON or CSV,
 and prints a one-line PASS/FAIL summary per contract. Exit status: 0 when
 every contract passes, 1 on a contract violation (the first failing
 invariant is named on stderr), 2 on a malformed config, including a
-known key that the command does not read. A check whose value is not
-finite fails, and JSON writes such values as the strings "nan", "inf" and
-"-inf", so a report is always valid JSON.
+known key that the command does not read, and 3 when a command raises
+any other exception (its traceback goes to stderr). A check whose value
+is not finite fails, and JSON writes such values as the strings "nan",
+"inf" and "-inf", so a report is always valid JSON.
 
 Randomness is confined to a single seeded generator per run, the seed is
 recorded in every output, and JSON output is byte-identical for identical
@@ -21,6 +22,7 @@ import json
 import math
 import numbers
 import sys
+import traceback
 
 import numpy as np
 
@@ -660,6 +662,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
     payload = {
         "schema": SCHEMA,

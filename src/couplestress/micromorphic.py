@@ -316,8 +316,15 @@ def companion_basis(model, u_basis: Basis):
 
     Linearly dependent candidates are merged away through an L2 Gram
     eigendecomposition, which also orthonormalizes the surviving fields.
-    The fields are formed in coefficient space, by one contraction of the
-    scaled eigenvectors with the dense stack of the candidates.
+    The kept rank is the numerical rank of the Gram (Golub & Van Loan,
+    Matrix Computations, 5.4), the numpy.linalg.matrix_rank default:
+    eigenvalues above n eps lambda_max for n candidates. Only null
+    directions fall below it; a wider cut drops real ones from order 3 on,
+    the constraint images leave the span and the penalty limit misses the
+    constrained energy. Orthonormality holds to about eps over the
+    smallest kept relative eigenvalue. The fields are formed in
+    coefficient space, by one contraction of the scaled eigenvectors with
+    the dense stack of the candidates.
     """
     cls = companion_class(model)
     gens = {"skew": _SKEW_GENS, "sym": _SYM_GENS, "full": _FULL_GENS}[cls]
@@ -333,7 +340,7 @@ def companion_basis(model, u_basis: Basis):
     X = pf.dense_stack(rows, D)
     gram = pf.dense_gram(X, M)
     vals, vecs = scipy.linalg.eigh(gram)
-    keep = vals > 1e-10 * vals[-1]
+    keep = vals > len(vals) * np.finfo(float).eps * vals[-1]
     cols = vecs[:, keep]
     V = np.where(np.abs(cols) > 1e-14, cols * (1.0 / np.sqrt(vals[keep])), 0.0)
     return pf.linear_combinations(candidates, V, X)
@@ -347,22 +354,29 @@ class CoupledState:
     P: object
 
 
+def _coupled_batch(pairs):
+    """The (u, P) pairs as a vector batch U and a 3x3 batch P.
+
+    Each pair is stacked as one 12-component field, so U and P share one
+    `polyfield.DenseBatch` layout and every term operator runs on both
+    slots at once.
+    """
+    B = pf.batch_fields([np.concatenate([np.ravel(u), np.ravel(P)]) for u, P in pairs])
+    return B[:3], B[3:].reshape(3, 3)
+
+
 def coupled_operator_grams(model, u_basis, companion_fields):
     """Gram matrix of every quadratic term, over the product basis.
 
-    Returned keyed by term index; weights are applied later so a penalty
-    ladder reuses one assembly.
+    The product basis is the pairs (u, 0) and (0, P); it is batched once,
+    each term operator runs once on the batch, and its Gram is one
+    `polyfield.batch_gram`. Returned keyed by term index; weights are
+    applied later so a penalty ladder reuses one assembly.
     """
-    zero_u, zero_P = pf.zero_vec(14), pf.zero_mat(14)
-    elements = [(u, zero_P) for u in u_basis.fields] + [
-        (zero_u, P) for P in companion_fields
-    ]
-    term_ops = [op for _, op in _term_list(model, MicromorphicParams())]
-    # np.ravel makes a one-entry row of a scalar term
-    return [
-        pf.box_gram([list(np.ravel(op(u, P))) for (u, P) in elements])
-        for op in term_ops
-    ]
+    zero_u, zero_P = pf.zero_vec(), pf.zero_mat()
+    U, P = _coupled_batch([(u, zero_P) for u in u_basis.fields]
+                          + [(zero_u, Q) for Q in companion_fields])
+    return [pf.batch_gram(op(U, P)) for _, op in _term_list(model, MicromorphicParams())]
 
 
 def coupled_stiffness(model, params, grams):
@@ -398,8 +412,8 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     c, residual, min_eig = refined_solve(K, b)
     (u_h,) = pf.linear_combinations(u_basis.fields, c[:nu, None])
     (P_h,) = pf.linear_combinations(companion_fields, c[nu:, None])
-    coupling = _coupling_op(model)(u_h, P_h)
-    violation = float(np.sqrt(pf.box_gram([list(np.ravel(coupling))])[0, 0]))
+    coupling = _coupling_op(model)(*_coupled_batch([(u_h, P_h)]))
+    violation = float(np.sqrt(pf.batch_gram(coupling)[0, 0]))
     energy = float(0.5 * c @ K @ c - b @ c)
     state = CoupledState(model, params, u_h, P_h)
     report = {

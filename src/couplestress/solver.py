@@ -30,7 +30,7 @@ from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material, rotation_gradient, strain_curl
 from .stresses import assemble as assemble_stresses
-from .tractions import ALL_FACES, traction_curl_form
+from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
 
 
@@ -154,7 +154,7 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     if include_boundary:
         J = pf.jac(pf.batch_fields(basis.fields))
         for face in ALL_FACES:
-            g = traction_curl_form(state, face).double_force
+            g = curl_double_force(state, face)
             dn = [face.restrict(p) for p in tn.matvec(J, face.normal)]
             trace = pf.batch_fields([[face.restrict(p) for p in g]])
             b += pf.batch_gram(dn, trace)[:, 0]

@@ -118,13 +118,21 @@ class TractionSet:
         return self.face.restrict(comp).max_abs_coeff()
 
 
+def _curl_double_force(state: StressState, face: Face):
+    """sym M and the double force g = (sym M).n it gives."""
+    symM = tn.sym(surface_moment_matrix(state.m_curl, face.normal))
+    return symM, tn.matvec(symM, face.normal)
+
+
+def curl_double_force(state: StressState, face: Face):
+    """Curl-route double force g = (sym M).n, without the force traction."""
+    return _curl_double_force(state, face)[1]
+
+
 def traction_curl_form(state: StressState, face: Face):
     """t = (sigma + tau).n - grad[(sym M)(Id-nxn)]:(Id-nxn), g = (sym M).n."""
-    n = face.normal
-    M = surface_moment_matrix(state.m_curl, n)
-    symM = tn.sym(M)
-    t = tn.matvec(state.total_curl, n) - tangential_divergence(symM, face)
-    g = tn.matvec(symM, n)
+    symM, g = _curl_double_force(state, face)
+    t = tn.matvec(state.total_curl, face.normal) - tangential_divergence(symM, face)
     return TractionSet(face, "curl", t, g)
 
 
@@ -161,7 +169,7 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
 
 def compare_double_forces(state: StressState, face: Face):
     """Curl-route double force against both orientations of the axl route."""
-    g_curl = traction_curl_form(state, face).double_force
+    g_curl = curl_double_force(state, face)
     g_en = traction_axl_form(state, face, "energetic").double_force
     g_ap = traction_axl_form(state, face, "appendix").double_force
     agree = pf.max_abs_coeff_vec(
