@@ -85,7 +85,14 @@ def _constants_from(config, key, allowed, cls):
     bad = sorted(k for k, v in values.items() if not math.isfinite(v))
     if bad:
         raise ConfigError(f"{key} values must be finite: {', '.join(bad)}")
-    return cls(**values)
+    constants = cls(**values)
+    try:
+        scale = constants.curvature_scale
+    except OverflowError:  # ell**2 beyond the float range
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ConfigError(f"{key} curvature scale mu*ell^2 must be finite")
+    return constants
 
 
 def material_from(config, key="material"):
@@ -361,8 +368,8 @@ def cmd_conformal_report(args, opts, rng):
             ).max_abs_coeff(),
             **relations,
         }
-        for key, gap in gaps.items():
-            worst[key] = max(worst.get(key, 0.0), gap)
+        for key, gap in gaps.items():  # np.maximum keeps a NaN gap, which fails
+            worst[key] = float(np.maximum(worst.get(key, 0.0), gap))
         if np.sqrt(spin_sq) > 1e-6 and mat.alpha2 > 0:
             sensitive = sensitive and dens["indeterminate"].max_abs_coeff() > 1e-13
         for row in cf.invariance_report(phi, params, mat):
@@ -529,9 +536,10 @@ def cmd_lift_check(args, opts, rng):
     C = lf.sixth_order_isotropic(1.0, 0.0)
     for _ in range(args.trials):
         u = pf.random_vec_field(rng, opts["degree"])
-        worst_corrected = max(worst_corrected, lf.roundtrip_gap(u, "corrected"))
-        least_printed = min(least_printed, lf.roundtrip_gap(u, "printed"))
-        worst_energy = max(worst_energy, lf.verify_energy_equality(u, 1.0, 0.0, C))
+        # np.maximum and np.minimum keep a NaN, which then fails its check
+        worst_corrected = float(np.maximum(worst_corrected, lf.roundtrip_gap(u, "corrected")))
+        least_printed = float(np.minimum(least_printed, lf.roundtrip_gap(u, "printed")))
+        worst_energy = float(np.maximum(worst_energy, lf.verify_energy_equality(u, 1.0, 0.0, C)))
     frozen = lf.second_gradient_pairing(_frozen_quadratic_field(), C).integrate()
     blocks_gap = float(
         np.max(

@@ -165,7 +165,7 @@ def equivalence_report(u, mat):
         for b in range(a + 1, len(names)):
             d = (forms[names[a]] - forms[names[b]]).max_abs_coeff()
             pairwise[f"{names[a]} vs {names[b]}"] = d
-            worst = max(worst, d)
+            worst = float(np.maximum(worst, d))  # keeps a NaN difference
     return {"pairwise": pairwise, "max_difference": worst}
 
 

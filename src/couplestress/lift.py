@@ -78,15 +78,14 @@ def last_two_symmetrizer():
 
 
 def first_two_symmetrizer():
-    """Projection of E onto tensors symmetric in the first two slots."""
-    P = np.zeros((27, 27))
-    for i in range(3):
-        for k in range(3):
-            for l in range(3):
-                row = flat_index(i, k, l)
-                P[row, flat_index(i, k, l)] += 0.5
-                P[row, flat_index(k, i, l)] += 0.5
-    return P
+    """Projection of E onto tensors symmetric in the first two slots.
+
+    On the flat index (i, k, l) this averages E_ikl and E_kil, which is the
+    same 27x27 matrix as `halfsym_matrix`: that map takes second gradients
+    u_i,kl to strain gradients by the same average. Both names stay, one
+    for each reading.
+    """
+    return halfsym_matrix()
 
 
 def flatten_field(T):

@@ -100,50 +100,43 @@ def _check_companion(model, P):
 
 
 def _coupling_op(model):
-    if model in ("cosserat", "degenerate-cosserat"):
-        return lambda u, P: tn.skw(pf.jac(u)) - P
-    if model == "microstrain":
-        return lambda u, P: tn.sym(pf.jac(u)) - P
-    if model == "micromorphic":
-        return lambda u, P: pf.jac(u) - P
-    return lambda u, P: tn.sym(pf.jac(u) - P)
+    if model in ("relaxed", "further-relaxed", "sym-curl-p"):
+        return lambda u, P: tn.sym(pf.jac(u) - P)
+    return lambda u, P: constrained_companion(model, u) - P
 
 
-def _curvature_ops(model):
-    """List of (weight key, op on the companion field)."""
-    grad_axl = lambda P: pf.jac(tn.axl(P))
-    if model == "cosserat":
-        return [
-            ("alpha1", lambda u, P: tn.devsym(grad_axl(P))),
-            ("alpha2", lambda u, P: tn.trace(grad_axl(P))),
-            ("alpha2", lambda u, P: tn.skw(grad_axl(P))),
-        ]
-    if model == "degenerate-cosserat":
-        return [("alpha2", lambda u, P: tn.skw(grad_axl(P)))]
-    if model == "microstrain":
-        return [
-            ("alpha1", lambda u, P: tn.devsym(pf.mat_curl(P))),
-            ("alpha2", lambda u, P: tn.skw(pf.mat_curl(P))),
-        ]
-    if model == "micromorphic":
-        return [
-            ("alpha1", lambda u, P: tn.devsym(pf.mat_curl(tn.sym(P)))),
-            ("alpha2", lambda u, P: tn.skw(pf.mat_curl(tn.sym(P)))),
-        ]
-    if model == "relaxed":
-        return [
-            ("alpha1", lambda u, P: tn.devsym(pf.mat_curl(P))),
-            ("alpha2", lambda u, P: tn.skw(pf.mat_curl(P))),
-            ("alpha3", lambda u, P: tn.trace(pf.mat_curl(P))),
-        ]
-    if model == "further-relaxed":
-        return [
-            ("alpha1", lambda u, P: tn.devsym(pf.mat_curl(P))),
-            ("alpha2", lambda u, P: tn.skw(pf.mat_curl(P))),
-        ]
-    if model == "sym-curl-p":
-        return [("alpha1", lambda u, P: tn.sym(pf.mat_curl(P)))]
-    raise ValueError(f"unknown model {model!r}")
+def _grad_axl(P):
+    return pf.jac(tn.axl(P))
+
+
+def _curl_sym(P):
+    return pf.mat_curl(tn.sym(P))
+
+
+_DEV_SKW = (("alpha1", tn.devsym), ("alpha2", tn.skw))
+
+# Each model's curvature, stated once: the measure k of the companion and
+# its weighted parts. A part adds mu ell^2 w |part(k)|^2 to the density and
+# 2 mu ell^2 w part(k) to the hyperstress; tn.trace is the trace part, whose
+# hyperstress is 2 mu ell^2 w tr(k) Id.
+_CURVATURE = {
+    "cosserat": (_grad_axl, (("alpha1", tn.devsym), ("alpha2", tn.trace),
+                             ("alpha2", tn.skw))),
+    "degenerate-cosserat": (_grad_axl, (("alpha2", tn.skw),)),
+    "microstrain": (pf.mat_curl, _DEV_SKW),
+    "micromorphic": (_curl_sym, _DEV_SKW),
+    "relaxed": (pf.mat_curl, _DEV_SKW + (("alpha3", tn.trace),)),
+    "further-relaxed": (pf.mat_curl, _DEV_SKW),
+    "sym-curl-p": (pf.mat_curl, (("alpha1", tn.sym),)),
+}
+
+
+def _curvature(model):
+    """(measure of the companion, weighted parts) of the model."""
+    try:
+        return _CURVATURE[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}") from None
 
 
 def _term_list(model, params):
@@ -153,9 +146,10 @@ def _term_list(model, params):
         (params.lam / 2.0, lambda u, P: tn.trace(pf.jac(u))),
         (params.penalty, _coupling_op(model)),
     ]
+    measure, parts = _curvature(model)
     s = params.curvature_scale
-    for key, op in _curvature_ops(model):
-        terms.append((s * getattr(params, key), op))
+    for key, part in parts:
+        terms.append((s * getattr(params, key), lambda u, P, part=part: part(measure(P))))
     return terms
 
 
@@ -173,70 +167,31 @@ def micromorphic_energy(u, P, model, params):
 def force_stress(u, P, model, params):
     """sigma per model; symmetric exactly for microstrain/relaxed families."""
     J = pf.jac(u)
-    base = np.empty((3, 3), dtype=object)
+    out = tn.sym(J) * (2.0 * params.mu) + _coupling_op(model)(u, P) * (2.0 * params.penalty)
     iso = tn.trace(J) * params.lam
-    coupling = _coupling_op(model)(u, P)
     for i in range(3):
-        for j in range(3):
-            v = tn.sym(J)[i, j] * (2.0 * params.mu) + coupling[i, j] * (2.0 * params.penalty)
-            if i == j:
-                v = v + iso
-            base[i, j] = v
-    return base
+        out[i, i] = out[i, i] + iso
+    return out
 
 
 def hyperstress(u, P, model, params):
-    """Moment stress conjugate to the model's curvature measure."""
+    """Moment stress conjugate to the model's curvature measure k.
+
+    Each weighted part adds 2 mu ell^2 w part(k); the trace part adds
+    2 mu ell^2 w tr(k) Id.
+    """
     _check_companion(model, P)
-    s = 2.0 * params.curvature_scale
-    if model in ("cosserat", "degenerate-cosserat"):
-        k = pf.jac(tn.axl(P))
-        out = tn.skw(k)
-        out = np.array(
-            [[out[i, j] * (s * params.alpha2) for j in range(3)] for i in range(3)],
-            dtype=object,
-        )
-        if model == "cosserat":
-            dev = tn.devsym(k)
-            t = tn.trace(k)
+    measure, parts = _curvature(model)
+    k = measure(P)
+    out = k * 0.0
+    for key, part in parts:
+        w = 2.0 * params.curvature_scale * getattr(params, key)
+        val = part(k)
+        if isinstance(val, np.ndarray):
+            out = out + val * w
+        else:
             for i in range(3):
-                for j in range(3):
-                    v = out[i, j] + dev[i, j] * (s * params.alpha1)
-                    if i == j:
-                        v = v + t * (s * params.alpha2)
-                    out[i, j] = v
-        return out
-    if model == "microstrain":
-        k = pf.mat_curl(P)
-        a3 = 0.0
-    elif model == "micromorphic":
-        k = pf.mat_curl(tn.sym(P))
-        a3 = 0.0
-    elif model in ("relaxed",):
-        k = pf.mat_curl(P)
-        a3 = params.alpha3
-    elif model == "further-relaxed":
-        k = pf.mat_curl(P)
-        a3 = 0.0
-    elif model == "sym-curl-p":
-        k = pf.mat_curl(P)
-        sk = tn.sym(k)
-        return np.array(
-            [[sk[i, j] * (s * params.alpha1) for j in range(3)] for i in range(3)],
-            dtype=object,
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    dev = tn.devsym(k)
-    skw = tn.skw(k)
-    t = tn.trace(k)
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            v = dev[i, j] * (s * params.alpha1) + skw[i, j] * (s * params.alpha2)
-            if i == j and a3:
-                v = v + t * (s * a3)
-            out[i, j] = v
+                out[i, i] = out[i, i] + val * w
     return out
 
 
@@ -264,17 +219,8 @@ def invariance_gap(u, P, model, params, rng):
             for i in range(3)
         ]
     )
-    kind = invariance_shift_kind(model)
-    if kind == "same":
-        shift = W
-    elif kind == "independent":
-        shift = Wpp
-    else:
-        shift = np.zeros((3, 3))
-    P2 = np.array(
-        [[P[i, j] + float(shift[i, j]) for j in range(3)] for i in range(3)],
-        dtype=object,
-    )
+    shift = {"same": W, "independent": Wpp, "none": np.zeros((3, 3))}
+    P2 = P + shift[invariance_shift_kind(model)]
     before = micromorphic_energy(u, P, model, params)
     after = micromorphic_energy(u2, P2, model, params)
     return (after - before).max_abs_coeff()
@@ -294,21 +240,14 @@ def constrained_companion(model, u):
 # --- coupled Galerkin solver ------------------------------------------------
 
 
-_SKEW_GENS = [tn.anti(np.eye(3)[k]) for k in range(3)]
-_SYM_GENS = [np.diag(np.eye(3)[k]) for k in range(3)] + [
-    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-]
-_FULL_GENS = [np.outer(np.eye(3)[i], np.eye(3)[j]) for i in range(3) for j in range(3)]
-
-
-def _matrix_field_from(scalar, G):
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = scalar * float(G[i, j])
-    return out
+_E = np.eye(3)
+# the matrix generators of each companion class, in candidate order
+_GENS = {
+    "skew": [tn.anti(_E[k]) for k in range(3)],
+    "sym": [np.outer(_E[i], _E[j]) + np.outer(_E[j], _E[i]) * (i != j)
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))],
+    "full": [np.outer(_E[i], _E[j]) for i in range(3) for j in range(3)],
+}
 
 
 def companion_basis(model, u_basis: Basis):
@@ -322,28 +261,27 @@ def companion_basis(model, u_basis: Basis):
     directions fall below it; a wider cut drops real ones from order 3 on,
     the constraint images leave the span and the penalty limit misses the
     constrained energy. Orthonormality holds to about eps over the
-    smallest kept relative eigenvalue. The fields are formed in
-    coefficient space, by one contraction of the scaled eigenvectors with
-    the dense stack of the candidates.
+    smallest kept relative eigenvalue. The candidates are coefficient
+    cubes, the constraint images taken on the batched u basis, and the span
+    is one `polyfield.FieldStack`: one contraction of the scaled
+    eigenvectors with the candidate cubes.
     """
-    cls = companion_class(model)
-    gens = {"skew": _SKEW_GENS, "sym": _SYM_GENS, "full": _FULL_GENS}[cls]
-    candidates = [
-        _matrix_field_from(scalar, G)
-        for scalar in bubble_scalars(u_basis.order)
-        for G in gens
-    ]
-    candidates += [constrained_companion(model, u) for u in u_basis.fields]
+    gens = _GENS[companion_class(model)]
+    scalars = bubble_scalars(u_basis.order)
+    D = pf.dense_degree([*scalars, *(p for u in u_basis.fields for p in u)]) + 1
+    S = pf.FieldStack.of(scalars, D)
+    U = pf.FieldStack.of(u_basis.fields, D)
+    images = [p.coef for p in constrained_companion(model, U.batch()).flat]
+    shaped = S.cubes[:, None, None, None] * np.array(gens)[None, ..., None, None, None]
+    X = np.concatenate([shaped.reshape((-1, 3, 3) + (D,) * 3),
+                        np.stack(images, axis=1).reshape((len(U), 3, 3) + (D,) * 3)])
     # prune to an orthonormal independent set
-    rows = [list(np.ravel(P)) for P in candidates]
-    D, M = pf.dense_layout(p for row in rows for p in row)
-    X = pf.dense_stack(rows, D)
-    gram = pf.dense_gram(X, M)
+    gram = pf.dense_gram(X.reshape(len(X), 9, D, D, D), pf.Poly3.dense_moments(D))
     vals, vecs = scipy.linalg.eigh(gram)
     keep = vals > len(vals) * np.finfo(float).eps * vals[-1]
     cols = vecs[:, keep]
     V = np.where(np.abs(cols) > 1e-14, cols * (1.0 / np.sqrt(vals[keep])), 0.0)
-    return pf.linear_combinations(candidates, V, X)
+    return pf.linear_combinations(pf.FieldStack(X, max(S.cap, U.cap)), V)
 
 
 @dataclass
@@ -354,36 +292,21 @@ class CoupledState:
     P: object
 
 
-def _coupled_batch(pairs):
-    """The (u, P) pairs as a vector batch U and a 3x3 batch P.
-
-    Each pair is stacked as one 12-component field, so U and P share one
-    `polyfield.DenseBatch` layout and every term operator runs on both
-    slots at once.
-    """
-    B = pf.batch_fields([np.concatenate([np.ravel(u), np.ravel(P)]) for u, P in pairs])
-    return B[:3], B[3:].reshape(3, 3)
-
-
 def coupled_operator_grams(model, u_basis, companion_fields):
     """Gram matrix of every quadratic term, over the product basis.
 
-    The product basis is the pairs (u, 0) and (0, P); it is batched once,
-    each term operator runs once on the batch, and its Gram is one
-    `polyfield.batch_gram`. Returned keyed by term index; weights are
-    applied later so a penalty ladder reuses one assembly.
+    The product basis is the pairs (u, 0) and (0, P); it is batched once
+    from the cubes of both stacks, each term operator runs once on the
+    batch, and its Gram is one `polyfield.batch_gram`. Returned keyed by
+    term index; weights are applied later so a penalty ladder reuses one
+    assembly.
     """
-    zero_u, zero_P = pf.zero_vec(), pf.zero_mat()
-    U, P = _coupled_batch([(u, zero_P) for u in u_basis.fields]
-                          + [(zero_u, Q) for Q in companion_fields])
+    U, P = pf.product_batches(pf.FieldStack.of(u_basis.fields), pf.FieldStack.of(companion_fields))
     return [pf.batch_gram(op(U, P)) for _, op in _term_list(model, MicromorphicParams())]
 
 
 def coupled_stiffness(model, params, grams):
-    weights = [w for w, _ in _term_list(model, params)]
-    K = np.zeros_like(grams[0])
-    for w, G in zip(weights, grams):
-        K = K + 2.0 * w * G
+    K = sum(2.0 * w * G for (w, _), G in zip(_term_list(model, params), grams))
     return 0.5 * (K + K.T)
 
 
@@ -403,19 +326,21 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
         )
     if companion_fields is None:
         companion_fields = companion_basis(model, u_basis)
+    companion = pf.FieldStack.of(companion_fields)
     if grams is None:
-        grams = coupled_operator_grams(model, u_basis, companion_fields)
+        grams = coupled_operator_grams(model, u_basis, companion)
     K = coupled_stiffness(model, params, grams)
     nu = len(u_basis.fields)
     b = np.zeros(K.shape[0])
     b[:nu] = load_vector(u_basis, f)
     c, residual, min_eig = refined_solve(K, b)
-    (u_h,) = pf.linear_combinations(u_basis.fields, c[:nu, None])
-    (P_h,) = pf.linear_combinations(companion_fields, c[nu:, None])
-    coupling = _coupling_op(model)(*_coupled_batch([(u_h, P_h)]))
+    # each from its own stack; the zero-padded product stack reorders the sums
+    u_h = pf.linear_combinations(u_basis.fields, c[:nu, None])
+    P_h = pf.linear_combinations(companion, c[nu:, None])
+    coupling = _coupling_op(model)(*pf.stack_batches(u_h, P_h))
     violation = float(np.sqrt(pf.batch_gram(coupling)[0, 0]))
     energy = float(0.5 * c @ K @ c - b @ c)
-    state = CoupledState(model, params, u_h, P_h)
+    state = CoupledState(model, params, u_h[0], P_h[0])
     report = {
         "model": model,
         "penalty": params.penalty,
@@ -430,11 +355,8 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
 
 def constrained_reference(model, params, u_basis, f):
     """Solve the constrained couple stress model over the same u span."""
-    mat = params.constrained_material()
-    asm = assemble_displacement(u_basis, mat, "curl")
-    b = load_vector(u_basis, f)
-    rep = solve_displacement(asm, b)
-    return rep
+    asm = assemble_displacement(u_basis, params.constrained_material(), "curl")
+    return solve_displacement(asm, load_vector(u_basis, f))
 
 
 def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):

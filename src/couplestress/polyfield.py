@@ -6,9 +6,11 @@ differentiation and integration over [0,1]^3 are closed-form. Vector and
 matrix fields are numpy object arrays of Poly3, so the helpers in
 `tensors` apply to them unchanged. For bulk linear algebra, stacks of
 fields convert to dense per-axis coefficient cubes and back. A
-`DenseBatch` holds one such stack as a scalar: the field operators run on
-object arrays of batches unchanged and evaluate every field of the stack
-in one pass, with diff as a 1D matrix contraction per axis.
+`FieldStack` keeps such a stack in coefficient space and builds a Poly3
+field only when an item is read. A `DenseBatch` holds one component of a
+stack as a scalar: the field operators run on object arrays of batches
+unchanged and evaluate every field of the stack in one pass, with diff as
+a 1D matrix contraction per axis.
 
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
@@ -455,11 +457,7 @@ def batch_gram(rows, other=None):
     D = max(p.coef.shape[-1] for p in batches)
 
     def stack(row):
-        X = np.zeros((len(row[0].coef), len(row), D, D, D))
-        for q, p in enumerate(row):
-            d = p.coef.shape[-1]
-            X[:, q, :d, :d, :d] = p.coef
-        return X
+        return np.stack([_padded(p.coef, D) for p in row], axis=1)
 
     Y = None if other is None else stack(other)
     return dense_gram(stack(rows), family.dense_moments(D), Y)
@@ -476,27 +474,94 @@ def box_gram(rows, other=None):
     return dense_gram(dense_stack(rows, D), M, Y)
 
 
-def linear_combinations(fields, W, X=None):
-    """The fields sum_a W[a, r] fields[a], one per column r of W.
+def _padded(cubes, D):
+    """cubes (..., d, d, d) on the larger layout D, zero past index d."""
+    d = cubes.shape[-1]
+    if d == D:
+        return cubes
+    X = np.zeros(cubes.shape[:-3] + (D, D, D))
+    X[..., :d, :d, :d] = cubes
+    return X
 
-    fields are equally shaped Poly3 arrays. The sums are formed in
-    coefficient space, by one contraction of W with the dense stack X of
-    the fields (built here unless the caller already has it), so only the
-    summation order differs from term-by-term Poly3 arithmetic. Like a sum,
-    each result takes the largest cap among the fields.
+
+class FieldStack:
+    """n equally shaped Poly3 fields as one (n, *shape, D, D, D) cube array.
+
+    Batches, contractions and Grams read the cubes. Item a is built as a
+    Poly3 field on access, with the cap of the stack; iteration ends at the
+    IndexError past the last item.
     """
-    shape = np.shape(fields[0])
-    flat = [np.ravel(F) for F in fields]
-    if X is None:
-        X = dense_stack(flat)
-    cap = max(p.cap for row in flat for p in row)
-    out = []
-    for cubes in np.tensordot(W, X, axes=(0, 0)):
-        F = np.empty(len(cubes), dtype=object)
-        for q, cube in enumerate(cubes):
-            F[q] = from_dense(cube, cap)
-        out.append(F.reshape(shape))
-    return out
+
+    __slots__ = ("cubes", "cap")
+
+    def __init__(self, cubes, cap=DEFAULT_CAP):
+        self.cubes, self.cap = cubes, int(cap)
+
+    @classmethod
+    def of(cls, fields, D=None):
+        """A stack as it is; Poly3 fields stacked on layout D, with their largest cap."""
+        if isinstance(fields, cls):
+            return fields
+        flat = [np.ravel(F) for F in fields]
+        X = dense_stack(flat, D)
+        return cls(X.reshape((len(flat),) + np.shape(fields[0]) + X.shape[-3:]),
+                   max(p.cap for row in flat for p in row))
+
+    def __len__(self):
+        return len(self.cubes)
+
+    def __getitem__(self, a):
+        cubes = self.cubes[a]
+        F = np.empty(cubes.shape[:-3], dtype=object)
+        for idx in np.ndindex(F.shape):
+            F[idx] = from_dense(cubes[idx], self.cap)
+        return F
+
+    def batch(self, D=None):
+        """The stack as one field of DenseBatch entries, on layout D or its own."""
+        X = _padded(self.cubes, D or self.cubes.shape[-1])
+        out = np.empty(X.shape[1:-3], dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = DenseBatch(X[(slice(None),) + idx], Poly3)
+        return out
+
+
+def stack_batches(*stacks):
+    """Equally long stacks, each as one field of DenseBatch entries, on one layout."""
+    D = max(s.cubes.shape[-1] for s in stacks)
+    return [s.batch(D) for s in stacks]
+
+
+def product_batches(*stacks):
+    """The product span of the stacks, one field of DenseBatch entries per slot.
+
+    The fields of each stack in turn are the elements of the span, each in
+    its stack's slot with zero in every other slot.
+    """
+    n, start, slots = sum(len(s) for s in stacks), 0, []
+    for s in stacks:
+        X = np.zeros((n,) + s.cubes.shape[1:])
+        X[start:start + len(s)] = s.cubes
+        slots.append(FieldStack(X))
+        start += len(s)
+    return stack_batches(*slots)
+
+
+def linear_combinations(fields, W, X=None):
+    """The fields sum_a W[a, r] fields[a], one per column r of W, as a FieldStack.
+
+    fields are a FieldStack or equally shaped Poly3 arrays. The sums are
+    formed in coefficient space, by one contraction of W with the cubes of
+    the fields (stacked here unless fields is a stack or the caller gives
+    the dense stack X), so only the summation order differs from
+    term-by-term Poly3 arithmetic. Like a sum, each result takes the
+    largest cap among the fields.
+    """
+    if X is not None:
+        fields = FieldStack(X.reshape((len(X),) + np.shape(fields[0]) + X.shape[-3:]),
+                            max(p.cap for F in fields for p in np.ravel(F)))
+    stack = FieldStack.of(fields)
+    return FieldStack(np.tensordot(W, stack.cubes, axes=(0, 0)), stack.cap)
 
 
 # --- field constructors -----------------------------------------------
