@@ -5,6 +5,16 @@ implementation-independent check: for each operator the sup-norm error
 against the exact polynomial result must shrink like h^2 as the stencil
 spacing h is refined. Fields of total degree >= 5 keep every truncation
 term alive so the observed order is meaningful.
+
+The fd_* functions evaluate the differenced field once, on every stencil
+point of every h, and form the stencil quotients in STENCIL_DTYPE before
+rounding them to float64; given a sequence of spacings h they put the
+spacings on a leading axis. Extended precision keeps the roundoff of a
+second difference, about eps * |u| / h^2, below the exact-match floor at
+the finest default h. Where np.longdouble is plain double it is not, and a
+check that is exact in exact arithmetic fails; each report records the
+eps of the stencil arithmetic. fd_partial and fd_second_partial are the
+one-axis float64 stencils of a scalar callable.
 """
 from __future__ import annotations
 
@@ -21,7 +31,20 @@ BASE_LATTICE = np.array(
 
 DEFAULT_H = (1 / 8, 1 / 16, 1 / 32)
 
+STENCIL_DTYPE = np.longdouble
+
 _E = np.eye(3)
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+# first differences: +e_a for each axis, then -e_a
+_FIRST = np.concatenate([_E, -_E])
+# second differences: the centre, +e_a, -e_a, then for each pair (a, b) of
+# _PAIRS the mixed offsets +a+b, +a-b, -a+b, -a-b
+_SECOND = np.concatenate(
+    [np.zeros((1, 3)), _E, -_E]
+    + [[sa * _E[a] + sb * _E[b] for sa in (1, -1) for sb in (1, -1)] for a, b in _PAIRS]
+)
+# entry [a, b] of a Hessian among the three diagonal and three mixed quotients
+_HESSIAN = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 def fd_partial(f, pts, axis, h):
@@ -42,77 +65,77 @@ def fd_second_partial(f, pts, ax1, ax2, h):
     ) / (4 * h**2)
 
 
-def _scalar_callable(p):
-    return lambda pts: p.eval(pts)
+def _at_offsets(F, pts, h, offsets):
+    """F at pts + h * offset for every h and offset, and the spacings.
+
+    The values have shape (nh, noffsets, npts, *F.shape) and the spacings
+    shape (nh, 1, ..., 1) to broadcast against one offset's values, both in
+    STENCIL_DTYPE.
+    """
+    hs = np.reshape(np.asarray(h, dtype=STENCIL_DTYPE), -1)
+    X = np.asarray(pts, dtype=STENCIL_DTYPE)
+    shifted = X + hs[:, None, None, None] * offsets.astype(STENCIL_DTYPE)[:, None, :]
+    vals = pf.eval_fields(F, shifted)
+    return vals, hs.reshape((-1,) + (1,) * (vals.ndim - 2))
+
+
+def _rounded(quotients, h):
+    """Quotients for every h as float64; one h as a scalar drops the h axis."""
+    out = quotients.astype(float)
+    return out if np.ndim(h) else out[0]
+
+
+def _first_differences(F, pts, h):
+    """Central differences of every entry of F along each axis: (..., npts, *F.shape, 3)."""
+    V, hs = _at_offsets(F, pts, h, _FIRST)
+    G = (V[:, :3] - V[:, 3:]) / (2 * hs[:, None])
+    return _rounded(np.moveaxis(G, 1, -1), h)
 
 
 def fd_grad(p, pts, h):
-    f = _scalar_callable(p)
-    return np.stack([fd_partial(f, pts, ax, h) for ax in range(3)], axis=-1)
+    return _first_differences(p, pts, h)
 
 
 def fd_jac(u, pts, h):
-    out = np.empty((pts.shape[0], 3, 3))
-    for i in range(3):
-        f = _scalar_callable(u[i])
-        for j in range(3):
-            out[:, i, j] = fd_partial(f, pts, j, h)
-    return out
+    return _first_differences(u, pts, h)
 
 
 def fd_div(u, pts, h):
-    J = fd_jac(u, pts, h)
-    return J[:, 0, 0] + J[:, 1, 1] + J[:, 2, 2]
+    return np.trace(fd_jac(u, pts, h), axis1=-2, axis2=-1)
 
 
 def fd_curl(u, pts, h):
     J = fd_jac(u, pts, h)
     return np.stack(
         [
-            J[:, 2, 1] - J[:, 1, 2],
-            J[:, 0, 2] - J[:, 2, 0],
-            J[:, 1, 0] - J[:, 0, 1],
+            J[..., 2, 1] - J[..., 1, 2],
+            J[..., 0, 2] - J[..., 2, 0],
+            J[..., 1, 0] - J[..., 0, 1],
         ],
         axis=-1,
     )
 
 
 def fd_mat_grad(P, pts, h):
-    out = np.empty((pts.shape[0], 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            f = _scalar_callable(P[i, j])
-            for k in range(3):
-                out[:, i, j, k] = fd_partial(f, pts, k, h)
-    return out
+    return _first_differences(P, pts, h)
 
 
 def fd_mat_curl(P, pts, h):
-    G = fd_mat_grad(P, pts, h)  # G[:, i, k, l] = d P_ik / d x_l
-    out = np.zeros((pts.shape[0], 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                for k in range(3):
-                    e = tn.EPS[j, l, k]
-                    if e:
-                        out[:, i, j] += e * G[:, i, k, l]
-    return out
+    G = fd_mat_grad(P, pts, h)  # G[..., i, k, l] = d P_ik / d x_l
+    return np.einsum("jlk,...ikl->...ij", tn.EPS, G)
 
 
 def fd_mat_div(P, pts, h):
-    G = fd_mat_grad(P, pts, h)
-    return G[:, :, 0, 0] + G[:, :, 1, 1] + G[:, :, 2, 2]
+    return np.trace(fd_mat_grad(P, pts, h), axis1=-2, axis2=-1)
 
 
 def fd_second_gradient(u, pts, h):
-    out = np.empty((pts.shape[0], 3, 3, 3))
-    for k in range(3):
-        f = _scalar_callable(u[k])
-        for i in range(3):
-            for j in range(3):
-                out[:, k, i, j] = fd_second_partial(f, pts, i, j, h)
-    return out
+    """T[..., k, i, j] = d^2 u_k / d x_i d x_j by central second differences."""
+    V, hs = _at_offsets(u, pts, h, _SECOND)
+    diagonal = (V[:, 1:4] - 2 * V[:, :1] + V[:, 4:7]) / hs[:, None] ** 2
+    mixed = (V[:, 7::4] - V[:, 8::4] - V[:, 9::4] + V[:, 10::4]) / (4 * hs[:, None] ** 2)
+    H = np.moveaxis(np.concatenate([diagonal, mixed], axis=1), 1, -1)
+    return _rounded(H[..., _HESSIAN], h)
 
 
 @dataclass
@@ -123,6 +146,7 @@ class OrderReport:
     observed_order: float
     exact_match: bool = False
     passed: bool = field(default=False)
+    stencil_eps: float = field(default_factory=lambda: float(np.finfo(STENCIL_DTYPE).eps))
 
     def as_dict(self):
         return {
@@ -132,6 +156,7 @@ class OrderReport:
             "observed_order": self.observed_order,
             "exact_match": self.exact_match,
             "passed": self.passed,
+            "stencil_eps": self.stencil_eps,
         }
 
 
@@ -143,48 +168,22 @@ def _observed_order(errors, hs):
     return float(slope), False
 
 
-_OPERATORS = {}
-
-
-def _register(name, exact_fn, fd_fn):
-    _OPERATORS[name] = (exact_fn, fd_fn)
-
-
-def _exact_grad(u, pts):
-    return pf.eval_vec(pf.grad(u[0]), pts)
-
-
-def _fd_grad(u, pts, h):
-    return fd_grad(u[0], pts, h)
-
-
-_register("grad", _exact_grad, _fd_grad)
-_register("jacobian", lambda u, pts: pf.eval_mat(pf.jac(u), pts), fd_jac)
-_register("div", lambda u, pts: pf.div(u).eval(pts), fd_div)
-_register("curl", lambda u, pts: pf.eval_vec(pf.curl(u), pts), fd_curl)
-_register(
-    "mat_curl",
-    lambda u, pts: pf.eval_mat(pf.mat_curl(tn.sym(pf.jac(u))), pts),
-    lambda u, pts, h: fd_mat_curl(tn.sym(pf.jac(u)), pts, h),
-)
-_register(
-    "mat_div",
-    lambda u, pts: pf.eval_vec(pf.mat_div(tn.sym(pf.jac(u))), pts),
-    lambda u, pts, h: fd_mat_div(tn.sym(pf.jac(u)), pts, h),
-)
-
-
-def _exact_second_gradient(u, pts):
-    T = pf.second_gradient(u)
-    out = np.empty((pts.shape[0], 3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                out[:, k, i, j] = T[k, i, j].eval(pts)
-    return out
-
-
-_register("second_gradient", _exact_second_gradient, fd_second_gradient)
+# name -> (exact Poly3 operator of u, its finite-difference counterpart)
+_OPERATORS = {
+    "grad": (lambda u: pf.grad(u[0]), lambda u, pts, h: fd_grad(u[0], pts, h)),
+    "jacobian": (pf.jac, fd_jac),
+    "div": (pf.div, fd_div),
+    "curl": (pf.curl, fd_curl),
+    "mat_curl": (
+        lambda u: pf.mat_curl(tn.sym(pf.jac(u))),
+        lambda u, pts, h: fd_mat_curl(tn.sym(pf.jac(u)), pts, h),
+    ),
+    "mat_div": (
+        lambda u: pf.mat_div(tn.sym(pf.jac(u))),
+        lambda u, pts, h: fd_mat_div(tn.sym(pf.jac(u)), pts, h),
+    ),
+    "second_gradient": (pf.second_gradient, fd_second_gradient),
+}
 
 
 def operator_names():
@@ -195,12 +194,10 @@ def check_operator(name, u, hs=DEFAULT_H, pts=None, min_order=1.9):
     """Compare one exact operator with its finite-difference counterpart."""
     if pts is None:
         pts = BASE_LATTICE
-    exact_fn, fd_fn = _OPERATORS[name]
-    exact = exact_fn(u, pts)
-    errors = []
-    for h in hs:
-        approx = fd_fn(u, pts, h)
-        errors.append(float(np.max(np.abs(approx - exact))))
+    exact_op, fd_fn = _OPERATORS[name]
+    exact = pf.eval_fields(exact_op(u), pts)
+    approx = fd_fn(u, pts, list(hs))
+    errors = [float(np.max(np.abs(a - exact))) for a in approx]
     order, exact_match = _observed_order(errors, hs)
     passed = exact_match or order >= min_order
     return OrderReport(name, errors, list(hs), order, exact_match, passed)

@@ -123,9 +123,8 @@ class Poly3:
         return max(i + j + k for (i, j, k) in self.coef)
 
     def max_abs_coeff(self):
-        if not self.coef:
-            return 0.0
-        return max(abs(v) for v in self.coef.values())
+        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return float(np.max(np.abs(list(self.coef.values())), initial=0.0))
 
     def is_zero(self, tol=0.0):
         return self.max_abs_coeff() <= tol
@@ -232,8 +231,12 @@ class Poly3:
         squeeze = pts.ndim == 1
         p = pts.reshape(-1, 3)
         out = np.zeros(p.shape[0])
+        # per-axis powers p[:, a] ** e, formed once and multiplied in the order
+        # val * x^i * y^j * z^k of the monomial
+        D = dense_degree([self]) + 1
+        xs, ys, zs = ([p[:, a] ** e for e in range(D)] for a in range(3))
         for (i, j, k), val in self.coef.items():
-            out += val * p[:, 0] ** i * p[:, 1] ** j * p[:, 2] ** k
+            out += val * xs[i] * ys[j] * zs[k]
         if squeeze:
             return float(out[0])
         return out.reshape(pts.shape[:-1])
@@ -684,23 +687,46 @@ def strain_gradient(u):
 # --- evaluation and integration helpers ---------------------------------
 
 
+EVAL_BLOCK = 256  # points evaluated at once by eval_fields
+
+
+def eval_fields(F, pts):
+    """Values of an array of Poly3 (or one Poly3) at an (..., 3) array of points.
+
+    The entries share one dense layout, and with the per-axis power tables
+    V_a[p, i] = x_a^i the values are the contraction
+    sum_ijk F[..., i, j, k] V_0[p, i] V_1[p, j] V_2[p, k], taken over (j, k)
+    through one table of V_1 V_2 and then over i, for EVAL_BLOCK points at
+    a time so that the tables stay small. The result has shape
+    pts.shape[:-1] + F.shape, and its dtype is that of the points (float64
+    for integer or lower-precision points), so np.longdouble points
+    evaluate in extended precision.
+    """
+    F = np.asarray(F, dtype=object)
+    if _dense_family(F.flat) is not Poly3:
+        raise TypeError("eval_fields evaluates Poly3 fields")
+    pts = np.asarray(pts)
+    p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float))
+    D = dense_degree(F.flat) + 1
+    X = np.stack([to_dense(q, D) for q in F.flat]).astype(p.dtype).reshape(F.size, D, D * D)
+    out = np.empty((len(p), F.size), dtype=p.dtype)
+    for a in range(0, len(p), EVAL_BLOCK):
+        q = p[a:a + EVAL_BLOCK]
+        V = np.ones(q.shape + (D,), dtype=p.dtype)
+        for e in range(1, D):
+            V[..., e] = V[..., e - 1] * q
+        W = np.einsum("pj,pk->pjk", V[:, 1], V[:, 2]).reshape(len(q), D * D)
+        T = np.einsum("pa,nia->pni", W, X)
+        out[a:a + EVAL_BLOCK] = np.einsum("pni,pi->pn", T, V[:, 0])
+    return out.reshape(pts.shape[:-1] + F.shape)
+
+
 def eval_vec(u, pts):
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    p = pts.reshape(-1, 3)
-    out = np.stack([u[i].eval(p) for i in range(3)], axis=-1)
-    return out[0] if single else out
+    return eval_fields(u, pts)
 
 
 def eval_mat(P, pts):
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    p = pts.reshape(-1, 3)
-    out = np.empty((p.shape[0], 3, 3))
-    for i in range(3):
-        for j in range(3):
-            out[:, i, j] = P[i, j].eval(p)
-    return out[0] if single else out
+    return eval_fields(P, pts)
 
 
 def integrate_inner_vec(u, v):
@@ -713,18 +739,21 @@ def integrate_inner_mat(A, B):
     )
 
 
+def _max_abs_coeff_all(F):
+    """Largest coefficient magnitude over the entries of F; NaN if any is NaN."""
+    return float(np.max([p.max_abs_coeff() for p in np.ravel(F)]))
+
+
 def max_abs_coeff_vec(u):
-    return max(u[i].max_abs_coeff() for i in range(3))
+    return _max_abs_coeff_all(u)
 
 
 def max_abs_coeff_mat(A):
-    return max(A[i, j].max_abs_coeff() for i in range(3) for j in range(3))
+    return _max_abs_coeff_all(A)
 
 
 def max_abs_coeff_ten3(T):
-    return max(
-        T[i, j, k].max_abs_coeff() for i in range(3) for j in range(3) for k in range(3)
-    )
+    return _max_abs_coeff_all(T)
 
 
 # --- random fields -------------------------------------------------------
