@@ -412,8 +412,8 @@ def cmd_traction_compare(args, opts, rng):
 
     def frozen_gap(label, expected):
         """Largest coefficient of the route's double force minus expected e_(a+1)."""
-        return max((p - (expected if i == along else 0.0)).max_abs_coeff()
-                   for i, p in enumerate(g[label]))
+        return float(np.max([(p - (expected if i == along else 0.0)).max_abs_coeff()
+                             for i, p in enumerate(g[label])]))
 
     comparison = tr.face_work_comparison(state, face, tr.face_bump(face, direction=along))
 
@@ -514,7 +514,7 @@ def cmd_limit_study(args, opts, rng):
                   all(b > a - 1e-13 for a, b in zip(energies, energies[1:])), energies),
             check(f"{model}-bounded-by-constrained",
                   all(e <= e_con + slack for e in energies), e_con),
-            at_most(f"{model}-solve-residual", max(residuals), 1e-10),
+            at_most(f"{model}-solve-residual", float(np.max(residuals)), 1e-10),
         ]
     payload = {
         "basis_order": opts["basis_order"],

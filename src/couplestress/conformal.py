@@ -96,9 +96,9 @@ def relations_report(phi, params):
     devsym_gap = pf.max_abs_coeff_mat(tn.devsym(J))
 
     gc = pf.jac(pf.curl(phi))
-    gc_gap = max(
-        (gc[i, j] - 2.0 * W[i, j]).max_abs_coeff() for i in range(3) for j in range(3)
-    )
+    gc_gap = float(np.max(
+        [(gc[i, j] - 2.0 * W[i, j]).max_abs_coeff() for i in range(3) for j in range(3)]
+    ))
     sym_gc_gap = pf.max_abs_coeff_mat(tn.sym(gc))
 
     kh = strain_curl(phi)

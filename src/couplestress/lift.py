@@ -123,7 +123,7 @@ def roundtrip_gap(u, signs="corrected"):
     H = halfsym_matrix()
     T = second_gradient_flat(u)
     back = apply_flat(A @ H, T)
-    return max((back[r] - T[r]).max_abs_coeff() for r in range(27))
+    return float(np.max([(back[r] - T[r]).max_abs_coeff() for r in range(27)]))
 
 
 # --- curvature blocks ---------------------------------------------------------

@@ -16,6 +16,13 @@ Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
 tripwire against runaway degree growth in long operator chains, not a
 truncation: no coefficient is ever dropped.
+
+Arithmetic results skip the construction checks, which cannot fire on them
+(negation, scaling, diff and restrict keep the cap and never raise the
+degree); they only drop exact zeros. A product of at least
+MUL_BINCOUNT_PAIRS term pairs is summed by one np.bincount, which adds in
+the order of the dict double loop, so both paths give the same coefficients
+in the same key order.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ import numpy as np
 from . import tensors as tn
 
 DEFAULT_CAP = 8
+MUL_BINCOUNT_PAIRS = 200  # term pairs from which a product is summed by bincount
 
 _AXES = {0: 0, 1: 1, 2: 2, "x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
 
@@ -142,11 +150,11 @@ class Poly3:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        cap = max(self.cap, q.cap)
         coef = dict(self.coef)
+        get = coef.get
         for key, val in q.coef.items():
-            coef[key] = coef.get(key, 0.0) + val
-        return Poly3(coef, cap)
+            coef[key] = get(key, 0.0) + val
+        return _made(coef, max(self.cap, q.cap))
 
     __radd__ = __add__
 
@@ -154,26 +162,34 @@ class Poly3:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        coef = dict(self.coef)
+        get = coef.get
+        for key, val in q.coef.items():
+            coef[key] = get(key, 0.0) - val
+        return _made(coef, max(self.cap, q.cap))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly3({k: -v for k, v in self.coef.items()}, self.cap)
+        return _made({k: -v for k, v in self.coef.items()}, self.cap)
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
             cap = self.cap + other.cap
+            if len(self.coef) * len(other.coef) >= MUL_BINCOUNT_PAIRS:
+                return _made(_bincount_product(self.coef, other.coef), cap)
             coef = {}
+            get = coef.get
+            terms = other.coef.items()
             for (a, b, c), u in self.coef.items():
-                for (d, e, f), v in other.coef.items():
+                for (d, e, f), v in terms:
                     key = (a + d, b + e, c + f)
-                    coef[key] = coef.get(key, 0.0) + u * v
-            return Poly3(coef, cap)
+                    coef[key] = get(key, 0.0) + u * v
+            return _made(coef, cap)
         if isinstance(other, (int, float, np.floating, np.integer)):
             s = float(other)
-            return Poly3({k: v * s for k, v in self.coef.items()}, self.cap)
+            return _made({k: v * s for k, v in self.coef.items()}, self.cap)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -194,16 +210,16 @@ class Poly3:
     # --- calculus -------------------------------------------------------
 
     def diff(self, axis):
+        # distinct keys go to distinct keys, so nothing accumulates
         ax = _axis(axis)
-        coef = {}
-        for key, val in self.coef.items():
-            e = key[ax]
-            if e == 0:
-                continue
-            new = list(key)
-            new[ax] = e - 1
-            coef[tuple(new)] = coef.get(tuple(new), 0.0) + e * val
-        return Poly3(coef, self.cap)
+        items = self.coef.items()
+        if ax == 0:
+            coef = {(i - 1, j, k): i * v for (i, j, k), v in items if i}
+        elif ax == 1:
+            coef = {(i, j - 1, k): j * v for (i, j, k), v in items if j}
+        else:
+            coef = {(i, j, k - 1): k * v for (i, j, k), v in items if k}
+        return _made(coef, self.cap)
 
     def integrate(self):
         """Exact integral over the unit box [0,1]^3."""
@@ -223,7 +239,7 @@ class Poly3:
             new[ax] = 0
             coef_key = tuple(new)
             coef[coef_key] = coef.get(coef_key, 0.0) + val * value**e
-        return Poly3(coef, self.cap)
+        return _made(coef, self.cap)
 
     def eval(self, pts):
         """Evaluate on an (..., 3) array of points."""
@@ -244,6 +260,44 @@ class Poly3:
     def __repr__(self):
         n = len(self.coef)
         return f"Poly3({n} terms, degree {self.degree()}, cap {self.cap})"
+
+
+def _made(coef, cap):
+    """Poly3 holding an arithmetic result: exact zeros dropped, no checks."""
+    if 0.0 in coef.values():
+        coef = {k: v for k, v in coef.items() if v != 0.0}
+    p = object.__new__(Poly3)
+    p.coef = coef
+    p.cap = cap
+    return p
+
+
+def _bincount_product(pc, qc):
+    """Coefficients of a product, as the dict double loop over pc, qc forms them.
+
+    Each term pair gets the code of its exponent sum. bincount adds the pair
+    products in the flattened (pc, qc) order, which is the loop's order, and
+    the codes are read back at the pairs where they first occur.
+    """
+    B = max(map(max, pc)) + max(map(max, qc)) + 1
+    BB = B * B
+    codes = np.add.outer(
+        np.array([i * BB + j * B + k for i, j, k in pc]),
+        np.array([i * BB + j * B + k for i, j, k in qc]),
+    ).ravel()
+    prods = np.multiply.outer(
+        np.fromiter(pc.values(), float, len(pc)),
+        np.fromiter(qc.values(), float, len(qc)),
+    ).ravel()
+    sums = np.bincount(codes, prods)
+    n = len(codes)
+    first = np.full(len(sums), n)
+    np.minimum.at(first, codes, np.arange(n))
+    leads = np.zeros(n, dtype=bool)
+    leads[first[first < n]] = True
+    order = codes[leads]
+    return {(c // BB, c // B % B, c % B): v
+            for c, v in zip(order.tolist(), sums[order].tolist())}
 
 
 def integral_of_product(p, q):

@@ -135,9 +135,8 @@ class TrigPoly:
         return D | 1
 
     def max_abs_coeff(self):
-        if not self.coef:
-            return 0.0
-        return max(abs(v) for v in self.coef.values())
+        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return float(np.max(np.abs(list(self.coef.values())), initial=0.0))
 
     def _coerce(self, other):
         if isinstance(other, TrigPoly):
