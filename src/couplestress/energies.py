@@ -201,74 +201,46 @@ def grioli_to_indeterminate(alpha1, eta_prime):
 
 
 # --- strain gradient zoo ---------------------------------------------------
+#
+# Third-order tensors are object arrays; a permuted index set is a transpose
+# (X.transpose(2, 0, 1)[i, j, k] = X[j, k, i]) and a contraction over a slot
+# pair is np.trace over those axes.
 
 
 def _eta(u):
     """Mindlin form I tensor eta[i,j,k] = u_k,ij."""
-    T = pf.second_gradient(u)
-    out = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j, k] = T[k, i, j]
-    return out
+    return pf.second_gradient(u).transpose(1, 2, 0)
 
 
 def _eta_tilde(u):
     """Mindlin form II tensor eta~[i,j,k] = (sym grad u)_jk,i."""
-    E = pf.strain_gradient(u)
-    out = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j, k] = E[j, k, i]
-    return out
+    return pf.strain_gradient(u).transpose(2, 0, 1)
 
 
 def _eta_sym(u):
     """Fully symmetric part eta^S[i,j,k] = (u_k,ij + u_i,jk + u_j,ki)/3."""
     T = pf.second_gradient(u)
-    out = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j, k] = (T[k, i, j] + T[i, j, k] + T[j, k, i]) / 3.0
-    return out
+    return (T.transpose(1, 2, 0) + T + T.transpose(2, 0, 1)) / 3.0
 
 
 def _mindlin_iii_curvature(u):
     """k[i,j] = (1/2) EPS[j,l,k] u_k,li, the form III rotation curvature."""
+    # T.transpose(2, 1, 0)[i, l, k] = u_k,li, contracted over (l, k) in that order
     T = pf.second_gradient(u)
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            acc = pf.Poly3.zero()
-            for l in range(3):
-                for k in range(3):
-                    e = tn.EPS[j, l, k]
-                    if e:
-                        acc = acc + T[k, l, i] * (0.5 * e)
-            out[i, j] = acc
-    return out
+    return np.tensordot(T.transpose(2, 1, 0), (0.5 * tn.EPS).transpose(1, 2, 0), 2)
 
 
 def mindlin_i_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form I in eta[i,j,k] = u_k,ij with weights a1..a5."""
     a1, a2, a3, a4, a5 = a
     eta = _eta(u)
-    t2 = pf.Poly3.zero()
-    t3 = pf.Poly3.zero()
-    v_kii = pf.as_vec([sum((eta[k, i, i] for i in range(3)), pf.Poly3.zero()) for k in range(3)])
-    v_jji = pf.as_vec([sum((eta[j, j, i] for j in range(3)), pf.Poly3.zero()) for i in range(3)])
-    v_iik = v_jji  # eta[i,i,k] summed over i
+    v_kii = np.trace(eta, axis1=1, axis2=2)
+    v_iik = np.trace(eta, axis1=0, axis2=1)
     t1 = tn.inner_vec(v_kii, v_kii)
-    t4 = tn.inner_vec(v_jji, v_jji)
+    t2 = tn.ten3_inner(eta, eta)
+    t3 = tn.ten3_inner(eta, eta.transpose(2, 0, 1))  # eta[i,j,k] eta[j,k,i]
+    t4 = tn.inner_vec(v_iik, v_iik)
     t5 = tn.inner_vec(v_iik, v_kii)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                t2 = t2 + eta[i, j, k] * eta[i, j, k]
-                t3 = t3 + eta[i, j, k] * eta[j, k, i]
     dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
     return dens * mat.curvature_scale
 
@@ -277,18 +249,13 @@ def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form II in eta~[i,j,k] = strain_jk,i with weights a1..a5."""
     a1, a2, a3, a4, a5 = a
     et = _eta_tilde(u)
-    v_iik = pf.as_vec([sum((et[i, i, k] for i in range(3)), pf.Poly3.zero()) for k in range(3)])
-    v_kjj = pf.as_vec([sum((et[k, j, j] for j in range(3)), pf.Poly3.zero()) for k in range(3)])
+    v_iik = np.trace(et, axis1=0, axis2=1)
+    v_kjj = np.trace(et, axis1=1, axis2=2)
     t1 = tn.inner_vec(v_iik, v_kjj)
     t2 = tn.inner_vec(v_kjj, v_kjj)
     t3 = tn.inner_vec(v_iik, v_iik)
-    t4 = pf.Poly3.zero()
-    t5 = pf.Poly3.zero()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                t4 = t4 + et[i, j, k] * et[i, j, k]
-                t5 = t5 + et[i, j, k] * et[k, j, i]
+    t4 = tn.ten3_inner(et, et)
+    t5 = tn.ten3_inner(et, et.transpose(2, 1, 0))  # et[i,j,k] et[k,j,i]
     dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
     return dens * mat.curvature_scale
 
@@ -298,23 +265,13 @@ def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     a1, a2, a3, a4, a5 = a
     kc = _mindlin_iii_curvature(u)
     es = _eta_sym(u)
+    v_iij = np.trace(es, axis1=0, axis2=1)
+    v_kll = np.trace(es, axis1=1, axis2=2)
     t1 = tn.norm_sq(kc)
     t2 = tn.inner(kc, tn.transpose(kc))
-    v = pf.as_vec([sum((es[i, i, j] for i in range(3)), pf.Poly3.zero()) for j in range(3)])
-    t3 = tn.inner_vec(v, v)
-    t4 = pf.Poly3.zero()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                t4 = t4 + es[i, j, k] * es[i, j, k]
-    v_kll = pf.as_vec([sum((es[k, l, l] for l in range(3)), pf.Poly3.zero()) for k in range(3)])
-    t5 = pf.Poly3.zero()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                e = tn.EPS[i, j, k]
-                if e:
-                    t5 = t5 + kc[i, j] * v_kll[k] * e
+    t3 = tn.inner_vec(v_iij, v_iij)
+    t4 = tn.ten3_inner(es, es)
+    t5 = tn.inner(kc, tn.eps_dot(v_kll))  # EPS[i,j,k] kc[i,j] v_kll[k]
     dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
     return dens * mat.curvature_scale
 
@@ -324,26 +281,12 @@ def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     a0, a1, a2 = a
     gd = pf.grad(pf.div(u))
     es = _eta_sym(u)
-    v = pf.as_vec([sum((es[m, m, k] for m in range(3)), pf.Poly3.zero()) for k in range(3)])
-    hat = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                corr = pf.Poly3.zero()
-                if i == j:
-                    corr = corr + v[k]
-                if j == k:
-                    corr = corr + v[i]
-                if k == i:
-                    corr = corr + v[j]
-                hat[i, j, k] = es[i, j, k] - corr / 5.0
-    t1 = pf.Poly3.zero()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                t1 = t1 + hat[i, j, k] * hat[i, j, k]
+    # dv[a,b,c] = v_a delta_bc with v_k = es[m,m,k]; its three placements are
+    # the trace part delta_ij v_k + delta_jk v_i + delta_ki v_j of es
+    dv = np.multiply.outer(np.trace(es, axis1=0, axis2=1), np.eye(3))
+    hat = es - (dv.transpose(1, 2, 0) + dv + dv.transpose(2, 0, 1)) / 5.0
     sgc = tn.sym(pf.jac(pf.curl(u)))
-    dens = tn.norm_sq_vec(gd) * a0 + t1 * a1 + tn.norm_sq(sgc) * a2
+    dens = tn.norm_sq_vec(gd) * a0 + tn.ten3_inner(hat, hat) * a1 + tn.norm_sq(sgc) * a2
     return dens * mat.curvature_scale
 
 
@@ -352,12 +295,7 @@ def aifantis_lazar_density(u, mat, a=(1.0, 1.0)):
     a0, a1 = a
     gd = pf.grad(pf.div(u))
     E = pf.strain_gradient(u)
-    t1 = pf.Poly3.zero()
-    for i in range(3):
-        for k in range(3):
-            for l in range(3):
-                t1 = t1 + E[i, k, l] * E[i, k, l]
-    dens = tn.norm_sq_vec(gd) * a0 + t1 * a1
+    dens = tn.norm_sq_vec(gd) * a0 + tn.ten3_inner(E, E) * a1
     return dens * mat.curvature_scale
 
 

@@ -156,22 +156,18 @@ def _term_list(model, params):
 def micromorphic_energy(u, P, model, params):
     """Exact polynomial energy density of one model at one coupled state."""
     _check_companion(model, P)
-    dens = pf.Poly3.zero()
+    terms = []
     for w, op in _term_list(model, params):
-        val = op(u, P)
-        sq = val * val if isinstance(val, pf.Poly3) else tn.norm_sq(val)
-        dens = dens + sq * w
-    return dens
+        val = np.ravel(op(u, P))  # a scalar term is one entry
+        terms.append((val @ val) * w)
+    return np.sum(terms)
 
 
 def force_stress(u, P, model, params):
     """sigma per model; symmetric exactly for microstrain/relaxed families."""
     J = pf.jac(u)
-    out = tn.sym(J) * (2.0 * params.mu) + _coupling_op(model)(u, P) * (2.0 * params.penalty)
-    iso = tn.trace(J) * params.lam
-    for i in range(3):
-        out[i, i] = out[i, i] + iso
-    return out
+    return (tn.sym(J) * (2.0 * params.mu) + _coupling_op(model)(u, P) * (2.0 * params.penalty)
+            + tn.identity_like(J) * (tn.trace(J) * params.lam))
 
 
 def hyperstress(u, P, model, params):
@@ -187,11 +183,9 @@ def hyperstress(u, P, model, params):
     for key, part in parts:
         w = 2.0 * params.curvature_scale * getattr(params, key)
         val = part(k)
-        if isinstance(val, np.ndarray):
-            out = out + val * w
-        else:
-            for i in range(3):
-                out[i, i] = out[i, i] + val * w
+        if not isinstance(val, np.ndarray):  # the trace part: tr(k) Id
+            val = tn.identity_like(k) * val
+        out = out + val * w
     return out
 
 

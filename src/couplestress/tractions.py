@@ -5,6 +5,7 @@ paired with the test field and a tangential double force paired with the
 normal derivative of the test field. The splits are not pointwise equal:
 their integrands differ by tangential divergences, so individual terms
 disagree while totals agree for test fields supported inside a face.
+Every face work is an exact integral of a polynomial over the face.
 
 The axl route carries an orientation switch. "energetic" uses the spin
 convention anti(v).w = v x w throughout, under which its double force
@@ -63,35 +64,19 @@ def projector(n):
 
 def surface_moment_matrix(m, n):
     """Matrix with rows m_i x n; annihilates n from the right."""
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        row = tn.cross(m[i, :], np.asarray(n, dtype=float))
-        for j in range(3):
-            out[i, j] = row[j]
-    return out
-
-
-def _mat_times_const(A, C):
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = sum((A[i, k] * float(C[k, j]) for k in range(3)), pf.Poly3.zero())
-    return out
+    n = np.asarray(n, dtype=float)
+    return np.stack([tn.cross(row, n) for row in m])
 
 
 def tangential_divergence(B, face):
-    """[grad(B P) : P]_i with P = Id - n otimes n, for constant n."""
-    P = projector(face.normal)
-    BP = _mat_times_const(B, P)
-    comps = []
-    for i in range(3):
-        acc = pf.Poly3.zero()
-        for j in range(3):
-            for l in range(3):
-                if P[j, l]:
-                    acc = acc + BP[i, j].diff(l) * float(P[j, l])
-        comps.append(acc)
-    return pf.as_vec(comps)
+    """[grad(B P) : P]_i with P = Id - n otimes n, for constant n.
+
+    On an axis-aligned face P is the identity on the two tangential axes
+    and zero on the normal one, so this is the divergence of each row of B
+    over the tangential axes.
+    """
+    t1, t2 = face.tangential_axes
+    return pf.as_vec([B[i, t1].diff(t1) + B[i, t2].diff(t2) for i in range(3)])
 
 
 @dataclass
@@ -111,10 +96,7 @@ class TractionSet:
 
     def double_force_normal_component(self):
         """Must vanish: the double force is tangential by construction."""
-        n = self.face.normal
-        comp = sum(
-            (self.double_force[i] * float(n[i]) for i in range(3)), pf.Poly3.zero()
-        )
+        comp = tn.inner_vec(self.double_force, self.face.normal)
         return self.face.restrict(comp).max_abs_coeff()
 
 
@@ -136,16 +118,20 @@ def traction_curl_form(state: StressState, face: Face):
     return TractionSet(face, "curl", t, g)
 
 
-def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
-    """t = (sigma - tau).n -+ (1/2) grad[anti(m.n) P]:P, g = +-(1/2) (m.n) x n."""
+def _axl_double_force(state: StressState, face: Face, orientation):
+    """m.n, the spin sign of the orientation, and g = +-(1/2) (m.n) x n."""
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
     sign = 1.0 if orientation == "energetic" else -1.0
-    n = face.normal
-    v = tn.matvec(state.m_axl, n)
+    v = tn.matvec(state.m_axl, face.normal)
+    return v, sign, tn.cross(v, face.normal) * (0.5 * sign)
+
+
+def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
+    """t = (sigma - tau).n -+ (1/2) grad[anti(m.n) P]:P, g = +-(1/2) (m.n) x n."""
+    v, sign, g = _axl_double_force(state, face, orientation)
     corr = tangential_divergence(tn.anti(v), face)
-    t = tn.matvec(state.total_axl, n) - corr * (0.5 * sign)
-    g = tn.cross(v, n) * (0.5 * sign)
+    t = tn.matvec(state.total_axl, face.normal) - corr * (0.5 * sign)
     return TractionSet(face, "axl", t, g, orientation=orientation)
 
 
@@ -156,12 +142,7 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
     whose moment stress varies along the face.
     """
     n = face.normal
-    symm = tn.sym(state.m_axl)
-    scalar = pf.Poly3.zero()
-    for i in range(3):
-        for j in range(3):
-            if n[i] and n[j]:
-                scalar = scalar + symm[i, j] * float(n[i] * n[j])
+    scalar = tn.inner_vec(tn.matvec(tn.sym(state.m_axl), n), n)
     corr = tn.cross(n, pf.grad(scalar))
     t = tn.matvec(state.total_axl, n) - corr * 0.5
     return TractionSet(face, "axl-mindlin-tiersten", t, pf.zero_vec(), notes={"erroneous": True})
@@ -170,8 +151,8 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
 def compare_double_forces(state: StressState, face: Face):
     """Curl-route double force against both orientations of the axl route."""
     g_curl = curl_double_force(state, face)
-    g_en = traction_axl_form(state, face, "energetic").double_force
-    g_ap = traction_axl_form(state, face, "appendix").double_force
+    g_en = _axl_double_force(state, face, "energetic")[2]
+    g_ap = _axl_double_force(state, face, "appendix")[2]
     agree = pf.max_abs_coeff_vec(
         pf.as_vec([face.restrict(g_curl[i] - g_en[i]) for i in range(3)])
     )
@@ -187,46 +168,21 @@ def compare_double_forces(state: StressState, face: Face):
     }
 
 
-# --- face quadrature ---------------------------------------------------------
-
-
-def face_quadrature(face: Face, order=12):
-    """Tensor Gauss-Legendre rule mapped to the unit face."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    t1, t2 = face.tangential_axes
-    pts = np.zeros((order * order, 3))
-    pts[:, face.axis] = face.value
-    grid1, grid2 = np.meshgrid(x, x, indexing="ij")
-    pts[:, t1] = grid1.ravel()
-    pts[:, t2] = grid2.ravel()
-    wts = np.outer(w, w).ravel()
-    return pts, wts
-
-
-def _face_quad_integral(p, face, pts, wts):
-    return float(np.dot(wts, p.eval(pts)))
+# --- face work ----------------------------------------------------------------
 
 
 def boundary_virtual_work(state, face, test, formulation="curl",
-                          orientation="energetic", order=12):
-    """Gauss-quadrature face work: traction term, double-force term, total."""
+                          orientation="energetic"):
+    """Exact face work: traction term, double-force term, total."""
     if formulation == "curl":
         ts = traction_curl_form(state, face)
     elif formulation == "axl":
         ts = traction_axl_form(state, face, orientation)
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
-    n = face.normal
-    dn = tn.matvec(pf.jac(test), n)
-    pts, wts = face_quadrature(face, order)
-    traction_term = sum(
-        _face_quad_integral(ts.traction[i] * test[i], face, pts, wts) for i in range(3)
-    )
-    double_term = sum(
-        _face_quad_integral(ts.double_force[i] * dn[i], face, pts, wts) for i in range(3)
-    )
+    dn = tn.matvec(pf.jac(test), face.normal)
+    traction_term = face.integrate(tn.inner_vec(ts.traction, test))
+    double_term = face.integrate(tn.inner_vec(ts.double_force, dn))
     return {
         "formulation": formulation,
         "orientation": ts.orientation,
@@ -236,16 +192,16 @@ def boundary_virtual_work(state, face, test, formulation="curl",
     }
 
 
-def face_work_comparison(state, face, test, order=12):
+def face_work_comparison(state, face, test):
     """Totals under the energetic split against termwise values as printed.
 
     Totals from both formulations agree for test fields supported inside
     the face. Termwise values computed with the appendix orientation show
     the mismatch of the individual terms.
     """
-    curl = boundary_virtual_work(state, face, test, "curl", order=order)
-    axl_en = boundary_virtual_work(state, face, test, "axl", "energetic", order)
-    axl_ap = boundary_virtual_work(state, face, test, "axl", "appendix", order)
+    curl = boundary_virtual_work(state, face, test, "curl")
+    axl_en = boundary_virtual_work(state, face, test, "axl", "energetic")
+    axl_ap = boundary_virtual_work(state, face, test, "axl", "appendix")
     return {
         "curl": curl,
         "axl-energetic": axl_en,
@@ -274,11 +230,10 @@ def unsplit_face_work(state, face, test, formulation="curl"):
     elif formulation == "axl":
         tvec = tn.matvec(state.total_axl, n)
         v = tn.matvec(state.m_axl, n)
-        c = pf.curl(test)
-        moment = sum((v[i] * c[i] for i in range(3)), pf.Poly3.zero()) * 0.5
+        moment = tn.inner_vec(v, pf.curl(test)) * 0.5
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
-    force = sum((tvec[i] * test[i] for i in range(3)), pf.Poly3.zero())
+    force = tn.inner_vec(tvec, test)
     return face.integrate(force + moment)
 
 
@@ -296,8 +251,7 @@ def volume_virtual_work(state, test):
     a = tn.inner(state.sigma, tn.sym(J))
     kt = pf.jac(pf.curl(test)) * 0.5
     b = tn.inner(state.m_axl, kt)
-    divt = pf.mat_div(state.total_curl)
-    c = sum((divt[i] * test[i] for i in range(3)), pf.Poly3.zero())
+    c = tn.inner_vec(pf.mat_div(state.total_curl), test)
     return (a + b + c).integrate()
 
 
@@ -322,16 +276,32 @@ def face_bump(face: Face, direction, cap=14):
     return pf.as_vec(comps)
 
 
+def face_quadrature(face: Face, order=12):
+    """Tensor Gauss-Legendre rule mapped to the unit face.
+
+    For pointwise checks on a face; face work is integrated exactly.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x = (x + 1.0) / 2.0
+    w = w / 2.0
+    t1, t2 = face.tangential_axes
+    pts = np.zeros((order * order, 3))
+    pts[:, face.axis] = face.value
+    grid1, grid2 = np.meshgrid(x, x, indexing="ij")
+    pts[:, t1] = grid1.ravel()
+    pts[:, t2] = grid2.ravel()
+    wts = np.outer(w, w).ravel()
+    return pts, wts
+
+
 def surface_divergence_residual(face: Face, v):
     """Face integral of the tangential divergence of a tangential field.
 
     Zero whenever v vanishes on the face edges; validates the tangential
     integration by parts that the traction split relies on.
     """
-    acc = pf.Poly3.zero()
-    for ax in face.tangential_axes:
-        acc = acc + v[ax].diff(ax)
-    return face.integrate(acc)
+    t1, t2 = face.tangential_axes
+    return face.integrate(v[t1].diff(t1) + v[t2].diff(t2))
 
 
 def edge_conormal(face: Face, edge_axis: int, edge_value: float):
@@ -353,8 +323,7 @@ def edge_force(state, face: Face, edge_axis: int, edge_value: float,
     if formulation == "curl":
         B = tn.sym(surface_moment_matrix(state.m_curl, face.normal))
     elif formulation == "axl":
-        sign = 1.0 if orientation == "energetic" else -1.0
-        v = tn.matvec(state.m_axl, face.normal)
+        v, sign, _ = _axl_double_force(state, face, orientation)
         B = tn.anti(v) * (0.5 * sign)
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
