@@ -311,30 +311,22 @@ def sharma_kleinert_density(u, mat, a=(1.0, 1.0)):
 # --- registry for reporting ------------------------------------------------
 
 
-def _registry_entry(fn, needs_coeffs=None):
-    return {"fn": fn, "coeffs": needs_coeffs or {}}
-
-
 MODEL_REGISTRY = {
-    "linear-elastic": _registry_entry(linear_elastic_density),
-    "indeterminate": _registry_entry(indeterminate_density),
-    "modified-conformal": _registry_entry(modified_conformal_density),
-    "hadjesfandiari-dargush": _registry_entry(hadjesfandiari_dargush_density),
-    "grioli": _registry_entry(grioli_density, {"alpha1": None, "eta_prime": 0.0}),
-    "mindlin-i": _registry_entry(mindlin_i_density, {"a": (1.0, 1.0, 1.0, 1.0, 1.0)}),
-    "mindlin-ii": _registry_entry(mindlin_ii_density, {"a": (1.0, 1.0, 1.0, 1.0, 1.0)}),
-    "mindlin-iii": _registry_entry(mindlin_iii_density, {"a": (1.0, 1.0, 1.0, 1.0, 1.0)}),
-    "lam": _registry_entry(lam_density, {"a": (1.0, 1.0, 1.0)}),
-    "aifantis-lazar": _registry_entry(aifantis_lazar_density, {"a": (1.0, 1.0)}),
-    "sharma-kleinert": _registry_entry(sharma_kleinert_density, {"a": (1.0, 1.0)}),
+    "linear-elastic": linear_elastic_density,
+    "indeterminate": indeterminate_density,
+    "modified-conformal": modified_conformal_density,
+    "hadjesfandiari-dargush": hadjesfandiari_dargush_density,
+    "grioli": grioli_density,
+    "mindlin-i": mindlin_i_density,
+    "mindlin-ii": mindlin_ii_density,
+    "mindlin-iii": mindlin_iii_density,
+    "lam": lam_density,
+    "aifantis-lazar": aifantis_lazar_density,
+    "sharma-kleinert": sharma_kleinert_density,
 }
 
 
-def evaluate_model(name, u, mat, coeffs=None):
-    """Return the density polynomial and its box integral for one model."""
-    entry = MODEL_REGISTRY[name]
-    kwargs = dict(entry["coeffs"])
-    if coeffs:
-        kwargs.update(coeffs)
-    dens = entry["fn"](u, mat, **kwargs) if kwargs else entry["fn"](u, mat)
+def evaluate_model(name, u, mat):
+    """Return the density of one model, at its default weights, and its box integral."""
+    dens = MODEL_REGISTRY[name](u, mat)
     return dens, dens.integrate()

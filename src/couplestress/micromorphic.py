@@ -304,6 +304,15 @@ def coupled_stiffness(model, params, grams):
     return 0.5 * (K + K.T)
 
 
+def _refuse_unsolvable(model, experimental):
+    if model in _EVALUATOR_ONLY:
+        raise ValueError(f"{model} is an energy evaluator only; no solver")
+    if model in _EXPERIMENTAL and not experimental:
+        raise ExperimentalModelError(
+            f"{model} well-posedness is unclear; pass experimental=True to solve anyway"
+        )
+
+
 def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
                   experimental=False):
     """Minimize the coupled functional over the product span.
@@ -312,24 +321,25 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     L2 constraint violation. Models of unclear well-posedness require
     experimental=True; evaluator-only models are refused.
     """
-    if model in _EVALUATOR_ONLY:
-        raise ValueError(f"{model} is an energy evaluator only; no solver")
-    if model in _EXPERIMENTAL and not experimental:
-        raise ExperimentalModelError(
-            f"{model} well-posedness is unclear; pass experimental=True to solve anyway"
-        )
+    _refuse_unsolvable(model, experimental)
     if companion_fields is None:
         companion_fields = companion_basis(model, u_basis)
     companion = pf.FieldStack.of(companion_fields)
     if grams is None:
         grams = coupled_operator_grams(model, u_basis, companion)
+    return _coupled_rung(model, params, pf.FieldStack.of(u_basis.fields),
+                         load_vector(u_basis, f), companion, grams)
+
+
+def _coupled_rung(model, params, u_stack, load, companion, grams):
+    """The coupled solve on one assembly: u basis and companion as stacks, u load given."""
     K = coupled_stiffness(model, params, grams)
-    nu = len(u_basis.fields)
+    nu = len(u_stack)
     b = np.zeros(K.shape[0])
-    b[:nu] = load_vector(u_basis, f)
+    b[:nu] = load
     c, residual, min_eig = refined_solve(K, b)
     # each from its own stack; the zero-padded product stack reorders the sums
-    u_h = pf.linear_combinations(u_basis.fields, c[:nu, None])
+    u_h = pf.linear_combinations(u_stack, c[:nu, None])
     P_h = pf.linear_combinations(companion, c[nu:, None])
     coupling = _coupling_op(model)(*pf.stack_batches(u_h, P_h))
     violation = float(np.sqrt(pf.batch_gram(coupling)[0, 0]))
@@ -357,20 +367,15 @@ def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
     """Penalty ladder table against the constrained reference energy."""
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("penalty ladder must be strictly increasing")
-    companion_fields = companion_basis(model, u_basis)
-    grams = coupled_operator_grams(model, u_basis, companion_fields)
+    _refuse_unsolvable(model, False)
+    companion = companion_basis(model, u_basis)
+    grams = coupled_operator_grams(model, u_basis, companion)
     ref = constrained_reference(model, params, u_basis, f)
+    u_stack, load = pf.FieldStack.of(u_basis.fields), load_vector(u_basis, f)
     rows = []
     prev_violation = None
     for pen in ladder:
-        _, rep = coupled_solve(
-            model,
-            params.with_penalty(pen),
-            u_basis,
-            f,
-            companion_fields=companion_fields,
-            grams=grams,
-        )
+        _, rep = _coupled_rung(model, params.with_penalty(pen), u_stack, load, companion, grams)
         row = {
             "penalty": pen,
             "violation": rep["violation"],

@@ -12,6 +12,11 @@ stack as a scalar: the field operators run on object arrays of batches
 unchanged and evaluate every field of the stack in one pass, with diff as
 a 1D matrix contraction per axis.
 
+Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
+dicts by per-axis dense index (for Poly3 the exponent) and share
+`ScalarField`, which holds their sums, differences, negation, float
+multiples and powers; `eval_fields` evaluates fields of either family.
+
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
 tripwire against runaway degree growth in long operator chains, not a
@@ -47,10 +52,90 @@ def _axis(axis):
         raise ValueError(f"unknown axis {axis!r}") from None
 
 
-class Poly3:
+_REALS = (int, float, np.floating, np.integer)
+
+
+class ScalarField:
+    """Scalar field as a dict of separable terms keyed by per-axis dense index.
+
+    The arithmetic that acts on the dicts alone is written here once. A
+    family adds its product of two fields (`_product`), its constants
+    (`_const`), how a result is made from a dict (`_result`, given the
+    second operand of a sum), its calculus and its 1D tables.
+    """
+
+    __slots__ = ("coef",)
+
+    def max_abs_coeff(self):
+        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return float(np.max(np.abs(list(self.coef.values())), initial=0.0))
+
+    def is_zero(self, tol=0.0):
+        return self.max_abs_coeff() <= tol
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, _REALS):
+            return self._const(float(other))
+        return None
+
+    def __add__(self, other):
+        q = self._coerce(other)
+        if q is None:
+            return NotImplemented
+        coef = dict(self.coef)
+        get = coef.get
+        for key, val in q.coef.items():
+            coef[key] = get(key, 0.0) + val
+        return self._result(coef, q)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        q = self._coerce(other)
+        if q is None:
+            return NotImplemented
+        coef = dict(self.coef)
+        get = coef.get
+        for key, val in q.coef.items():
+            coef[key] = get(key, 0.0) - val
+        return self._result(coef, q)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._result({k: -v for k, v in self.coef.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, _REALS):
+            s = float(other)
+            return self._result({k: v * s for k, v in self.coef.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _REALS):
+            return self * (1.0 / float(other))
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError("only nonnegative integer powers")
+        out = self._const(1.0)
+        for _ in range(int(n)):
+            out = out * self
+        return out
+
+
+class Poly3(ScalarField):
     """Polynomial in three variables with float coefficients."""
 
-    __slots__ = ("coef", "cap")
+    __slots__ = ("cap",)
 
     def __init__(self, coef=None, cap=DEFAULT_CAP):
         clean = {}
@@ -92,11 +177,7 @@ class Poly3:
         e[_axis(axis)] = 1
         return cls({tuple(e): 1.0}, cap)
 
-    # --- dense layout (see dense_stack) ----------------------------------
-
-    def dense_terms(self):
-        """(per-axis dense index, coefficient) pairs: indexed by exponent."""
-        return self.coef.items()
+    # --- dense layout (see dense_stack): the dense index is the exponent --
 
     @staticmethod
     def dense_moments(D):
@@ -119,8 +200,12 @@ class Poly3:
 
     @staticmethod
     def dense_values(D, t):
-        """Values of x^0 .. x^(D-1) at x = t."""
-        return float(t) ** np.arange(D)
+        """Values of x^0 .. x^(D-1) at coordinates t, on a new last axis (at least float64)."""
+        t = np.asarray(t)
+        V = np.ones(t.shape + (D,), dtype=np.result_type(t.dtype, float))
+        for e in range(1, D):
+            V[..., e] = V[..., e - 1] * t
+        return V
 
     # --- queries --------------------------------------------------------
 
@@ -130,82 +215,26 @@ class Poly3:
             return -1
         return max(i + j + k for (i, j, k) in self.coef)
 
-    def max_abs_coeff(self):
-        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
-        return float(np.max(np.abs(list(self.coef.values())), initial=0.0))
+    # --- arithmetic: sums take the larger cap, products add caps ---------
 
-    def is_zero(self, tol=0.0):
-        return self.max_abs_coeff() <= tol
+    def _result(self, coef, other=None):
+        return _made(coef, self.cap if other is None else max(self.cap, other.cap))
 
-    # --- arithmetic -----------------------------------------------------
+    def _const(self, value):
+        return Poly3.const(value, self.cap)
 
-    def _coerce(self, other):
-        if isinstance(other, Poly3):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Poly3.const(float(other), self.cap)
-        return None
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        coef = dict(self.coef)
+    def _product(self, other):
+        cap = self.cap + other.cap
+        if len(self.coef) * len(other.coef) >= MUL_BINCOUNT_PAIRS:
+            return _made(_bincount_product(self.coef, other.coef), cap)
+        coef = {}
         get = coef.get
-        for key, val in q.coef.items():
-            coef[key] = get(key, 0.0) + val
-        return _made(coef, max(self.cap, q.cap))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        coef = dict(self.coef)
-        get = coef.get
-        for key, val in q.coef.items():
-            coef[key] = get(key, 0.0) - val
-        return _made(coef, max(self.cap, q.cap))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _made({k: -v for k, v in self.coef.items()}, self.cap)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly3):
-            cap = self.cap + other.cap
-            if len(self.coef) * len(other.coef) >= MUL_BINCOUNT_PAIRS:
-                return _made(_bincount_product(self.coef, other.coef), cap)
-            coef = {}
-            get = coef.get
-            terms = other.coef.items()
-            for (a, b, c), u in self.coef.items():
-                for (d, e, f), v in terms:
-                    key = (a + d, b + e, c + f)
-                    coef[key] = get(key, 0.0) + u * v
-            return _made(coef, cap)
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            s = float(other)
-            return _made({k: v * s for k, v in self.coef.items()}, self.cap)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self * (1.0 / float(other))
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Poly3.const(1.0, self.cap)
-        for _ in range(int(n)):
-            out = out * self
-        return out
+        terms = other.coef.items()
+        for (a, b, c), u in self.coef.items():
+            for (d, e, f), v in terms:
+                key = (a + d, b + e, c + f)
+                coef[key] = get(key, 0.0) + u * v
+        return _made(coef, cap)
 
     # --- calculus -------------------------------------------------------
 
@@ -312,19 +341,18 @@ def integral_of_product(p, q):
 # --- dense coefficient cubes ---------------------------------------------
 #
 # A dense cube holds the coefficient of one separable term at its per-axis
-# indices [i, j, k]; D is one more than the largest index. Each scalar type
-# lays its terms out through `dense_terms` (monomials by exponent) and gives
-# the 1D integrals of products of its per-axis factors through
-# `dense_moments` and the 1D derivative matrix through `dense_diff`; Poly3
-# also gives the 1D point values for face traces through `dense_values`.
-# Stacks of fields share one D so that they can be contracted against each
-# other.
+# dense indices [i, j, k], the keys of the scalar's dict; D is one more than
+# the largest index. Each scalar family gives the 1D integrals of products of
+# its per-axis factors through `dense_moments`, the 1D derivative matrix
+# through `dense_diff` and the 1D point values, for evaluation and face
+# traces, through `dense_values`. Stacks of fields share one D so that they
+# can be contracted against each other.
 
 
 def dense_degree(polys):
     deg = 0
     for p in polys:
-        for (i, j, k), _ in p.dense_terms():
+        for i, j, k in p.coef:
             deg = max(deg, i, j, k)
     return deg
 
@@ -348,7 +376,7 @@ def dense_layout(polys):
 
 def to_dense(p, D):
     out = np.zeros((D, D, D))
-    for idx, v in p.dense_terms():
+    for idx, v in p.coef.items():
         out[idx] = v
     return out
 
@@ -745,10 +773,11 @@ EVAL_BLOCK = 256  # points evaluated at once by eval_fields
 
 
 def eval_fields(F, pts):
-    """Values of an array of Poly3 (or one Poly3) at an (..., 3) array of points.
+    """Values of an array of scalars of one family (or one scalar) at (..., 3) points.
 
-    The entries share one dense layout, and with the per-axis power tables
-    V_a[p, i] = x_a^i the values are the contraction
+    The entries share one dense layout, and with the family's per-axis
+    value tables V_a[p, i] (x_a^i for Poly3, the sine and cosine factors
+    for TrigPoly, from `dense_values`) the values are the contraction
     sum_ijk F[..., i, j, k] V_0[p, i] V_1[p, j] V_2[p, k], taken over (j, k)
     through one table of V_1 V_2 and then over i, for EVAL_BLOCK points at
     a time so that the tables stay small. The result has shape
@@ -757,30 +786,23 @@ def eval_fields(F, pts):
     evaluate in extended precision.
     """
     F = np.asarray(F, dtype=object)
-    if _dense_family(F.flat) is not Poly3:
-        raise TypeError("eval_fields evaluates Poly3 fields")
+    family = _dense_family(F.flat)
+    if not issubclass(family, ScalarField):
+        raise TypeError(f"eval_fields evaluates scalar fields, got {family.__name__}")
     pts = np.asarray(pts)
     p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float))
     D = dense_degree(F.flat) + 1
     X = np.stack([to_dense(q, D) for q in F.flat]).astype(p.dtype).reshape(F.size, D, D * D)
     out = np.empty((len(p), F.size), dtype=p.dtype)
     for a in range(0, len(p), EVAL_BLOCK):
-        q = p[a:a + EVAL_BLOCK]
-        V = np.ones(q.shape + (D,), dtype=p.dtype)
-        for e in range(1, D):
-            V[..., e] = V[..., e - 1] * q
-        W = np.einsum("pj,pk->pjk", V[:, 1], V[:, 2]).reshape(len(q), D * D)
+        V = family.dense_values(D, p[a:a + EVAL_BLOCK])
+        W = np.einsum("pj,pk->pjk", V[:, 1], V[:, 2]).reshape(len(V), D * D)
         T = np.einsum("pa,nia->pni", W, X)
         out[a:a + EVAL_BLOCK] = np.einsum("pni,pi->pn", T, V[:, 0])
     return out.reshape(pts.shape[:-1] + F.shape)
 
 
-def eval_vec(u, pts):
-    return eval_fields(u, pts)
-
-
-def eval_mat(P, pts):
-    return eval_fields(P, pts)
+eval_vec = eval_mat = eval_fields
 
 
 def integrate_inner_vec(u, v):
@@ -793,21 +815,21 @@ def integrate_inner_mat(A, B):
     )
 
 
-def _max_abs_coeff_all(F):
-    """Largest coefficient magnitude over the entries of F; NaN if any is NaN."""
+def max_abs_coeff(F):
+    """Largest coefficient magnitude over the entries of F (or one scalar); NaN if any is NaN."""
     return float(np.max([p.max_abs_coeff() for p in np.ravel(F)]))
 
 
 def max_abs_coeff_vec(u):
-    return _max_abs_coeff_all(u)
+    return max_abs_coeff(u)
 
 
 def max_abs_coeff_mat(A):
-    return _max_abs_coeff_all(A)
+    return max_abs_coeff(A)
 
 
 def max_abs_coeff_ten3(T):
-    return _max_abs_coeff_all(T)
+    return max_abs_coeff(T)
 
 
 # --- random fields -------------------------------------------------------
