@@ -4,11 +4,11 @@ Every command runs a suite of contracts, writes structured JSON or CSV,
 and prints a one-line PASS/FAIL summary per contract. Exit status: 0 when
 every contract passes, 1 on a contract violation (the first failing
 invariant is named on stderr), 2 on a malformed config, including a
-known key that the command does not read, or on a report that cannot be
-written, and 3 when a command raises any other exception (its traceback
-goes to stderr). A check whose value is not finite fails, and JSON writes
-such values as the strings "nan", "inf" and "-inf", so a report is always
-valid JSON.
+known key that the command does not read and constants that overflow a
+stiffness or load, or on a report that cannot be written, and 3 when a
+command raises any other exception (its traceback goes to stderr). A
+check whose value is not finite fails, and JSON writes such values as the
+strings "nan", "inf" and "-inf", so a report is always valid JSON.
 
 Randomness is confined to a single seeded generator per run, the seed is
 recorded in every output, and JSON output is byte-identical for identical
@@ -651,7 +651,7 @@ def main(argv=None):
         opts = _read_config(args.command, load_config(args.config))
         rng = np.random.default_rng(args.seed)
         extras, checks = COMMANDS[args.command](args, opts, rng)
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:  # an overflow comes from config constants
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -31,8 +31,8 @@ import scipy.linalg
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material
-from .solver import Basis, assemble as assemble_displacement, bubble_scalars
-from .solver import load_vector, refined_solve, solve as solve_displacement
+from .solver import Basis, assemble as assemble_displacement
+from .solver import finite, load_vector, refined_solve, solve as solve_displacement
 
 MODEL_IDS = (
     "cosserat",
@@ -245,7 +245,7 @@ _GENS = {
 
 
 def companion_basis(model, u_basis: Basis):
-    """Matrix-valued companion span: shaped bubbles plus constraint images.
+    """Matrix-valued companion span: shaped basis scalars plus constraint images.
 
     Linearly dependent candidates are merged away through an L2 Gram
     eigendecomposition, which also orthonormalizes the surviving fields.
@@ -261,21 +261,20 @@ def companion_basis(model, u_basis: Basis):
     eigenvectors with the candidate cubes.
     """
     gens = _GENS[companion_class(model)]
-    scalars = bubble_scalars(u_basis.order)
-    D = pf.dense_degree([*scalars, *(p for u in u_basis.fields for p in u)]) + 1
-    S = pf.FieldStack.of(scalars, D)
-    U = pf.FieldStack.of(u_basis.fields, D)
+    U = u_basis.fields
+    D = U.cubes.shape[-1]
+    S = U.cubes[::3, 0]  # the basis scalars: field 3 n + d is scalar n times e_d
     images = [p.coef for p in constrained_companion(model, U.batch()).flat]
-    shaped = S.cubes[:, None, None, None] * np.array(gens)[None, ..., None, None, None]
+    shaped = S[:, None, None, None] * np.array(gens)[None, ..., None, None, None]
     X = np.concatenate([shaped.reshape((-1, 3, 3) + (D,) * 3),
                         np.stack(images, axis=1).reshape((len(U), 3, 3) + (D,) * 3)])
     # prune to an orthonormal independent set
-    gram = pf.dense_gram(X.reshape(len(X), 9, D, D, D), pf.Poly3.dense_moments(D))
+    gram = pf.dense_gram(X.reshape(len(X), 9, D, D, D), U.family.dense_moments(D))
     vals, vecs = scipy.linalg.eigh(gram)
     keep = vals > len(vals) * np.finfo(float).eps * vals[-1]
     cols = vecs[:, keep]
     V = np.where(np.abs(cols) > 1e-14, cols * (1.0 / np.sqrt(vals[keep])), 0.0)
-    return pf.linear_combinations(pf.FieldStack(X, max(S.cap, U.cap)), V)
+    return pf.linear_combinations(pf.FieldStack(X, U.cap, U.family), V)
 
 
 @dataclass
@@ -295,13 +294,14 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     term index; weights are applied later so a penalty ladder reuses one
     assembly.
     """
-    U, P = pf.product_batches(pf.FieldStack.of(u_basis.fields), pf.FieldStack.of(companion_fields))
+    U, P = pf.product_batches(u_basis.fields, pf.FieldStack.of(companion_fields))
     return [pf.batch_gram(op(U, P)) for _, op in _term_list(model, MicromorphicParams())]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coupled_stiffness(model, params, grams):
     K = sum(2.0 * w * G for (w, _), G in zip(_term_list(model, params), grams))
-    return 0.5 * (K + K.T)
+    return finite(0.5 * (K + K.T), "stiffness", params)
 
 
 def _refuse_unsolvable(model, experimental):
@@ -327,8 +327,8 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
     companion = pf.FieldStack.of(companion_fields)
     if grams is None:
         grams = coupled_operator_grams(model, u_basis, companion)
-    return _coupled_rung(model, params, pf.FieldStack.of(u_basis.fields),
-                         load_vector(u_basis, f), companion, grams)
+    return _coupled_rung(model, params, u_basis.fields, load_vector(u_basis, f),
+                         companion, grams)
 
 
 def _coupled_rung(model, params, u_stack, load, companion, grams):
@@ -371,11 +371,12 @@ def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
     companion = companion_basis(model, u_basis)
     grams = coupled_operator_grams(model, u_basis, companion)
     ref = constrained_reference(model, params, u_basis, f)
-    u_stack, load = pf.FieldStack.of(u_basis.fields), load_vector(u_basis, f)
+    load = load_vector(u_basis, f)
     rows = []
     prev_violation = None
     for pen in ladder:
-        _, rep = _coupled_rung(model, params.with_penalty(pen), u_stack, load, companion, grams)
+        _, rep = _coupled_rung(model, params.with_penalty(pen), u_basis.fields, load,
+                               companion, grams)
         row = {
             "penalty": pen,
             "violation": rep["violation"],

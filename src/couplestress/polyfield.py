@@ -4,13 +4,13 @@ A Poly3 is a sparse coefficient dictionary keyed by exponent triples. All
 arithmetic is exact up to float rounding of the coefficients themselves;
 differentiation and integration over [0,1]^3 are closed-form. Vector and
 matrix fields are numpy object arrays of Poly3, so the helpers in
-`tensors` apply to them unchanged. For bulk linear algebra, stacks of
-fields convert to dense per-axis coefficient cubes and back. A
-`FieldStack` keeps such a stack in coefficient space and builds a Poly3
-field only when an item is read. A `DenseBatch` holds one component of a
-stack as a scalar: the field operators run on object arrays of batches
-unchanged and evaluate every field of the stack in one pass, with diff as
-a 1D matrix contraction per axis.
+`tensors` apply to them unchanged. For bulk linear algebra, a `FieldStack`
+holds n fields of either scalar family as dense per-axis coefficient cubes
+(stacked once, by `FieldStack.of`) and builds a field only when an item is
+read. A `DenseBatch` holds one component of a stack as a scalar: the field
+operators run on object arrays of batches unchanged and evaluate every
+field of the stack in one pass, with diff as a 1D matrix contraction per
+axis.
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -58,10 +58,11 @@ _REALS = (int, float, np.floating, np.integer)
 class ScalarField:
     """Scalar field as a dict of separable terms keyed by per-axis dense index.
 
-    The arithmetic that acts on the dicts alone is written here once. A
-    family adds its product of two fields (`_product`), its constants
-    (`_const`), how a result is made from a dict (`_result`, given the
-    second operand of a sum), its calculus and its 1D tables.
+    The arithmetic that acts on the dicts alone is written here once, and
+    so is `restrict`, which reads the family's 1D point values. A family
+    adds its product of two fields (`_product`), its constants (`_const`),
+    how a result is made from a dict (`_result`, given the second operand
+    of a sum), its calculus and its 1D tables.
     """
 
     __slots__ = ("coef",)
@@ -131,6 +132,20 @@ class ScalarField:
             out = out * self
         return out
 
+    def restrict(self, axis, value):
+        """Substitute one variable by a constant: the trace moves to index 0."""
+        ax = _axis(axis)
+        vals = self._trace_values(dense_degree([self]) + 1, float(value))
+        coef = {}
+        for key, val in self.coef.items():
+            new = key[:ax] + (0,) + key[ax + 1:]
+            coef[new] = coef.get(new, 0.0) + val * vals[key[ax]]
+        return self._result(coef)
+
+    def _trace_values(self, D, value):
+        """The 1D factors 0 .. D-1 at value, by the family's `dense_values`."""
+        return self.dense_values(D, value).tolist()
+
 
 class Poly3(ScalarField):
     """Polynomial in three variables with float coefficients."""
@@ -199,6 +214,11 @@ class Poly3(ScalarField):
         return D
 
     @staticmethod
+    def from_cube(cube, cap=DEFAULT_CAP):
+        """The Poly3 of a dense cube, by `from_dense`."""
+        return from_dense(cube, cap)
+
+    @staticmethod
     def dense_values(D, t):
         """Values of x^0 .. x^(D-1) at coordinates t, on a new last axis (at least float64)."""
         t = np.asarray(t)
@@ -257,18 +277,8 @@ class Poly3(ScalarField):
             acc += val / ((i + 1) * (j + 1) * (k + 1))
         return acc
 
-    def restrict(self, axis, value):
-        """Substitute one variable by a constant."""
-        ax = _axis(axis)
-        value = float(value)
-        coef = {}
-        for key, val in self.coef.items():
-            e = key[ax]
-            new = list(key)
-            new[ax] = 0
-            coef_key = tuple(new)
-            coef[coef_key] = coef.get(coef_key, 0.0) + val * value**e
-        return _made(coef, self.cap)
+    def _trace_values(self, D, value):
+        return [value**e for e in range(D)]  # each power rounded once
 
     def eval(self, pts):
         """Evaluate on an (..., 3) array of points."""
@@ -512,17 +522,10 @@ class DenseBatch:
 def batch_fields(fields):
     """Equally shaped fields of one family as one field of DenseBatch entries.
 
-    Entry q of the result holds component q of every field, on the smallest
-    layout that holds them all and is closed under d/dx.
+    Entry q of the result holds component q of every field, on the stack
+    layout of `FieldStack.of`.
     """
-    flat = [np.ravel(F) for F in fields]
-    family = _dense_family(p for row in flat for p in row)
-    D = family.dense_size(dense_degree(p for row in flat for p in row) + 1)
-    X = dense_stack(flat, D)
-    out = np.empty(X.shape[1], dtype=object)
-    for q in range(X.shape[1]):
-        out[q] = DenseBatch(X[:, q], family)
-    return out.reshape(np.shape(fields[0]))
+    return FieldStack.of(fields).batch()
 
 
 def batch_gram(rows, other=None):
@@ -552,11 +555,9 @@ def box_gram(rows, other=None):
     """Box integrals of rows of scalars of one type, paired row by row.
 
     Entry [a, b] sums the integrals of rows[a][m] * other[b][m] over m
-    (other defaults to rows), by `dense_gram` on one shared layout.
+    (other defaults to rows): `batch_gram` over the rows as stacks.
     """
-    D, M = dense_layout(p for row in rows + (other or []) for p in row)
-    Y = None if other is None else dense_stack(other, D)
-    return dense_gram(dense_stack(rows, D), M, Y)
+    return batch_gram(batch_fields(rows), None if other is None else batch_fields(other))
 
 
 def _padded(cubes, D):
@@ -570,27 +571,35 @@ def _padded(cubes, D):
 
 
 class FieldStack:
-    """n equally shaped Poly3 fields as one (n, *shape, D, D, D) cube array.
+    """n equally shaped fields of one family as one (n, *shape, D, D, D) cube array.
 
     Batches, contractions and Grams read the cubes. Item a is built as a
-    Poly3 field on access, with the cap of the stack; iteration ends at the
-    IndexError past the last item.
+    field of the stack's family on access, with the cap of the stack (a
+    family without caps ignores it); iteration ends at the IndexError past
+    the last item.
     """
 
-    __slots__ = ("cubes", "cap")
+    __slots__ = ("cubes", "cap", "family")
 
-    def __init__(self, cubes, cap=DEFAULT_CAP):
-        self.cubes, self.cap = cubes, int(cap)
+    def __init__(self, cubes, cap=DEFAULT_CAP, family=Poly3):
+        self.cubes, self.cap, self.family = cubes, int(cap), family
 
     @classmethod
-    def of(cls, fields, D=None):
-        """A stack as it is; Poly3 fields stacked on layout D, with their largest cap."""
+    def of(cls, fields, X=None):
+        """A stack as it is; else the fields' family, largest cap and dense stack X.
+
+        X is stacked here, on the family's smallest layout that holds every
+        field and is closed under d/dx, unless the caller gives it.
+        """
         if isinstance(fields, cls):
             return fields
         flat = [np.ravel(F) for F in fields]
-        X = dense_stack(flat, D)
+        scalars = [p for row in flat for p in row]
+        family = _dense_family(scalars)
+        if X is None:
+            X = dense_stack(flat, family.dense_size(dense_degree(scalars) + 1))
         return cls(X.reshape((len(flat),) + np.shape(fields[0]) + X.shape[-3:]),
-                   max(p.cap for row in flat for p in row))
+                   max(getattr(p, "cap", DEFAULT_CAP) for p in scalars), family)
 
     def __len__(self):
         return len(self.cubes)
@@ -599,7 +608,7 @@ class FieldStack:
         cubes = self.cubes[a]
         F = np.empty(cubes.shape[:-3], dtype=object)
         for idx in np.ndindex(F.shape):
-            F[idx] = from_dense(cubes[idx], self.cap)
+            F[idx] = self.family.from_cube(cubes[idx], self.cap)
         return F
 
     def batch(self, D=None):
@@ -607,7 +616,7 @@ class FieldStack:
         X = _padded(self.cubes, D or self.cubes.shape[-1])
         out = np.empty(X.shape[1:-3], dtype=object)
         for idx in np.ndindex(out.shape):
-            out[idx] = DenseBatch(X[(slice(None),) + idx], Poly3)
+            out[idx] = DenseBatch(X[(slice(None),) + idx], self.family)
         return out
 
 
@@ -627,7 +636,7 @@ def product_batches(*stacks):
     for s in stacks:
         X = np.zeros((n,) + s.cubes.shape[1:])
         X[start:start + len(s)] = s.cubes
-        slots.append(FieldStack(X))
+        slots.append(FieldStack(X, s.cap, s.family))
         start += len(s)
     return stack_batches(*slots)
 
@@ -635,18 +644,15 @@ def product_batches(*stacks):
 def linear_combinations(fields, W, X=None):
     """The fields sum_a W[a, r] fields[a], one per column r of W, as a FieldStack.
 
-    fields are a FieldStack or equally shaped Poly3 arrays. The sums are
-    formed in coefficient space, by one contraction of W with the cubes of
+    fields are a FieldStack or equally shaped arrays of one family. The sums
+    are formed in coefficient space, by one contraction of W with the cubes of
     the fields (stacked here unless fields is a stack or the caller gives
     the dense stack X), so only the summation order differs from
-    term-by-term Poly3 arithmetic. Like a sum, each result takes the
+    term-by-term field arithmetic. Like a sum, each result takes the
     largest cap among the fields.
     """
-    if X is not None:
-        fields = FieldStack(X.reshape((len(X),) + np.shape(fields[0]) + X.shape[-3:]),
-                            max(p.cap for F in fields for p in np.ravel(F)))
-    stack = FieldStack.of(fields)
-    return FieldStack(np.tensordot(W, stack.cubes, axes=(0, 0)), stack.cap)
+    stack = FieldStack.of(fields, X)
+    return FieldStack(np.tensordot(W, stack.cubes, axes=(0, 0)), stack.cap, stack.family)
 
 
 # --- field constructors -----------------------------------------------

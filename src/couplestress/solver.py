@@ -6,17 +6,16 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-The operators (`jac`, the two curvature routes, the tensor projections)
-run once per assembly on the whole basis, stacked as one
-`polyfield.DenseBatch` per component, and every pairing (stiffness, norm
-Gram, load and its face double-force work, functional norm) is one
-contraction of dense per-axis coefficient cubes, `polyfield.dense_gram`.
-Since the same operator code runs on the batch as on a single field, the
-curl-against-axl agreement of K still tests the identity between the two
-routes. The basis family only chooses the per-axis index of a term and
-its 1D moment and derivative matrices: monomial exponents for the bubble
-basis, sin/cos factors for the sine basis. Every linear system goes
-through one dense solve, `refined_solve`.
+A basis is its coefficient stack, one `polyfield.FieldStack`, whose
+family only chooses the per-axis index of a term and its 1D moment and
+derivative matrices: monomial exponents for the bubble basis, sin/cos
+factors for the sine basis. The operators run once per assembly on the
+stack as one `polyfield.DenseBatch` per component, the manufactured load
+runs them on u_star as a one-field batch, and every pairing is one
+contraction of coefficient cubes, `polyfield.batch_gram`. Since the same
+operator code runs on a batch as on a single field, the curl-against-axl
+agreement of K still tests the identity between the two routes. Every
+linear system goes through one dense solve, `refined_solve`.
 """
 from __future__ import annotations
 
@@ -39,12 +38,22 @@ from .trig import TrigPoly
 
 @dataclass
 class Basis:
-    fields: list
+    """A Galerkin basis: its fields as one `polyfield.FieldStack`."""
+
+    fields: pf.FieldStack
     kind: str
     order: int
 
     def __len__(self):
         return len(self.fields)
+
+
+def _component_basis(scalars, kind, order):
+    """Fields s e_d for the scalars s in turn, d fastest: each cube in its component slot."""
+    S = pf.FieldStack.of(scalars)
+    X = np.zeros((len(S), 3, 3) + S.cubes.shape[1:])
+    X[:, range(3), range(3)] = S.cubes[:, None]
+    return Basis(pf.FieldStack(X.reshape((-1, 3) + X.shape[3:]), S.cap, S.family), kind, order)
 
 
 BUBBLE_CAP = 14
@@ -63,27 +72,13 @@ def bubble_scalars(order):
 
 def bubble_basis(order):
     """Fields B(x) x^a y^b z^c e_d from `bubble_scalars`, dimension 3 order^3."""
-    fields = []
-    for scalar in bubble_scalars(order):
-        for d in range(3):
-            comps = [pf.Poly3.zero(scalar.cap)] * 3
-            comps[d] = scalar
-            fields.append(pf.as_vec(comps))
-    return Basis(fields, "bubble", order)
+    return _component_basis(bubble_scalars(order), "bubble", order)
 
 
 def sine_basis(order):
     """Fields sin(a pi x) sin(b pi y) sin(c pi z) e_d, frequencies 1..order."""
-    fields = []
-    for a in range(1, order + 1):
-        for b in range(1, order + 1):
-            for c in range(1, order + 1):
-                scalar = TrigPoly.sine_mode((a, b, c))
-                for d in range(3):
-                    comps = [TrigPoly.zero()] * 3
-                    comps[d] = scalar
-                    fields.append(pf.as_vec(comps))
-    return Basis(fields, "sine", order)
+    freqs = itertools.product(range(1, order + 1), repeat=3)
+    return _component_basis([TrigPoly.sine_mode(f) for f in freqs], "sine", order)
 
 
 # --- assembly -----------------------------------------------------------------
@@ -98,6 +93,7 @@ class Assembly:
     G: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(basis, mat, formulation="curl"):
     """Stiffness K and functional-norm Gram G, both exactly integrated.
 
@@ -111,7 +107,7 @@ def assemble(basis, mat, formulation="curl"):
     if formulation not in ("curl", "axl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
-    U = pf.batch_fields(basis.fields)
+    U = basis.fields.batch()
     J = pf.jac(U)
     k_curl = strain_curl(U)
     k = k_curl if formulation == "curl" else rotation_gradient(U)
@@ -123,16 +119,24 @@ def assemble(basis, mat, formulation="curl"):
         + s * (2.0 * mat.alpha1 * gram(tn.devsym(k)) + 2.0 * mat.alpha2 * gram(tn.skw(k)))
     )
     G = gram(J) + gram(k_curl)
-    K = 0.5 * (K + K.T)
+    K = finite(0.5 * (K + K.T), "stiffness", mat)
     G = 0.5 * (G + G.T)
     return Assembly(basis, mat, formulation, K, G)
 
 
+def finite(A, what, constants):
+    """A, or OverflowError naming what overflowed (its builder silences numpy's warnings)."""
+    if not np.isfinite(A).all():
+        raise OverflowError(f"the {what} of {constants} overflows the float range")
+    return A
+
+
 def load_vector(basis, f):
     """b_a = integral of <f, basis field a>."""
-    return pf.batch_gram(pf.batch_fields(basis.fields), pf.batch_fields([f]))[:, 0]
+    return pf.batch_gram(basis.fields.batch(), pf.batch_fields([f]))[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def manufactured_load(basis, u_star, mat, include_boundary=True):
     """Load vector under which u_star solves the discrete problem exactly.
 
@@ -142,23 +146,24 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     <g(u_star), grad v . n> that must be added to the load; dropping it is
     a genuine (demonstrable) error, not a simplification.
 
-    The u_star side stays symbolic (the strong form). On the basis side,
-    grad v . n comes from one batched `jac`, and its face trace has index 0
-    on the normal axis, whose moment is 1, so its box integral is its face
-    integral.
+    The stresses run on u_star as a one-field batch and each pairing with
+    the basis batch is one `polyfield.batch_gram`; the face traces of
+    grad v . n and g sit at index 0 on the normal axis, whose moment is 1.
+    f comes back as a field of u_star's family; b must be `finite`.
     """
-    state = assemble_stresses(u_star, mat)
-    r = pf.mat_div(state.total_curl)
-    f = pf.as_vec([r[i] * (-1.0) for i in range(3)])
-    b = load_vector(basis, f)
+    U = pf.FieldStack.of([u_star])
+    state = assemble_stresses(U.batch(), mat)
+    f = pf.mat_div(state.total_curl) * -1.0
+    V = basis.fields.batch()
+    b = pf.batch_gram(V, f)[:, 0]
     if include_boundary:
-        J = pf.jac(pf.batch_fields(basis.fields))
+        J = pf.jac(V)
         for face in ALL_FACES:
-            g = curl_double_force(state, face)
             dn = [face.restrict(p) for p in tn.matvec(J, face.normal)]
-            trace = pf.batch_fields([[face.restrict(p) for p in g]])
-            b += pf.batch_gram(dn, trace)[:, 0]
-    return f, b
+            g = [face.restrict(p) for p in curl_double_force(state, face)]
+            b += pf.batch_gram(dn, g)[:, 0]
+    (f,) = pf.FieldStack(np.stack([p.coef for p in f], axis=1), U.cap, U.family)
+    return f, finite(b, "load", mat)
 
 
 @dataclass
@@ -199,7 +204,7 @@ def solve(assembly, b):
 
 
 def displacement(basis, coefficients):
-    """The field sum_a c_a v_a of a bubble (Poly3) basis."""
+    """The field sum_a c_a v_a of a basis, in the basis family."""
     (u,) = pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
     return u
 
@@ -212,9 +217,7 @@ def functional_norm(u):
 
 
 def recovery_error(basis, coefficients, u_star):
-    uh = displacement(basis, coefficients)
-    diff = pf.as_vec([uh[i] - u_star[i] for i in range(3)])
-    return functional_norm(diff)
+    return functional_norm(displacement(basis, coefficients) - u_star)
 
 
 def coercivity_estimate(mat, orders=(1, 2, 3)):

@@ -9,13 +9,13 @@ over the unit box are closed-form.
 Each term is stored at the per-axis dense index of its factors, 2 f - kind:
 cos0, sin1, cos1, sin2, cos2, ... (sin0 vanishes and never occurs), the
 layout of the dense cubes in `polyfield`; the constructor takes terms keyed
-by factors ((kind, freq), ...) and moves them there. Sums, multiples and
-powers come from `polyfield.ScalarField`, shared with Poly3. This module
-holds the 1D tables on the index: the product of two factors, the
-derivative (sin f to f pi cos f, cos f to -f pi sin f, so a layout closed
-under d/dx ends on a cosine and has odd size), the integral over [0, 1]
-and the point values, through which `polyfield.eval_fields` evaluates and
-`restrict` takes face traces.
+by factors ((kind, freq), ...) and moves them there. Sums, multiples,
+powers and `restrict` come from `polyfield.ScalarField`, shared with
+Poly3. This module holds the 1D tables on the index: the product of two
+factors, the derivative (sin f to f pi cos f, cos f to -f pi sin f, so a
+layout closed under d/dx ends on a cosine and has odd size), the integral
+over [0, 1] and the point values, through which `polyfield.eval_fields`
+evaluates and `restrict` takes face traces (exact at the faces).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .polyfield import ScalarField, _axis, dense_degree, eval_fields
+from .polyfield import ScalarField, _axis, eval_fields
 
 COS, SIN = 0, 1
 
@@ -155,13 +155,27 @@ class TrigPoly(ScalarField):
         return D | 1
 
     @staticmethod
+    def from_cube(cube, cap=None):
+        """The TrigPoly of the nonzero entries of a dense cube (a TrigPoly has no cap)."""
+        idx = np.nonzero(cube)
+        return _made(dict(zip(zip(*(i.tolist() for i in idx)), cube[idx].tolist())))
+
+    @staticmethod
     def dense_values(D, t):
-        """Values of the factors 0 .. D-1 at coordinates t, on a new last axis."""
+        """Values of the factors 0 .. D-1 at coordinates t, on a new last axis.
+
+        f t is reduced modulo 2 and folded exactly to at most 1/2, and pi is
+        held in the dtype of t (at least float64), so factors are exact at
+        multiples of 1/2 and np.longdouble evaluates in extended precision.
+        """
         t = np.asarray(t)
         V = np.ones(t.shape + (D,), dtype=np.result_type(t.dtype, float))
-        arg = t[..., None] * (np.arange(1, D // 2 + 1) * math.pi)
-        V[..., 1::2] = np.sin(arg)
-        V[..., 2::2] = np.cos(arg[..., :(D - 1) // 2])
+        r = np.mod(t[..., None].astype(V.dtype) * np.arange(1, D // 2 + 1), 2)
+        r = np.where(r > 1, r - 2, r)
+        pi, q = 4 * np.arctan(np.ones((), V.dtype)), np.abs(r)
+        V[..., 1::2] = np.sin(pi * np.where(q > 0.5, np.sign(r) - r, r))
+        cos = np.where(q <= 0.25, np.cos(pi * q), np.sin(pi * (0.5 - q)))
+        V[..., 2::2] = cos[..., :(D - 1) // 2]
         return V
 
     # --- arithmetic (sums, multiples and powers in ScalarField) ----------
@@ -206,16 +220,6 @@ class TrigPoly(ScalarField):
         for (i, j, k), val in self.coef.items():
             acc += val * _integral(i) * _integral(j) * _integral(k)
         return acc
-
-    def restrict(self, axis, value):
-        """Substitute one variable by a constant: the trace moves to index 0."""
-        ax = _axis(axis)
-        vals = TrigPoly.dense_values(dense_degree([self]) + 1, float(value)).tolist()
-        coef = {}
-        for key, val in self.coef.items():
-            new = key[:ax] + (0,) + key[ax + 1:]
-            coef[new] = coef.get(new, 0.0) + val * vals[key[ax]]
-        return _made(coef)
 
     def eval(self, pts):
         """Evaluate on an (..., 3) array of points, through `polyfield.eval_fields`."""
