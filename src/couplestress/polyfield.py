@@ -781,9 +781,10 @@ EVAL_BLOCK = 256  # points evaluated at once by eval_fields
 def eval_fields(F, pts):
     """Values of an array of scalars of one family (or one scalar) at (..., 3) points.
 
-    The entries share one dense layout, and with the family's per-axis
-    value tables V_a[p, i] (x_a^i for Poly3, the sine and cosine factors
-    for TrigPoly, from `dense_values`) the values are the contraction
+    The entries are stacked on one dense layout by `FieldStack.of`, and
+    with the family's per-axis value tables V_a[p, i] (x_a^i for Poly3, the
+    sine and cosine factors for TrigPoly, from `dense_values`) the values
+    are the contraction
     sum_ijk F[..., i, j, k] V_0[p, i] V_1[p, j] V_2[p, k], taken over (j, k)
     through one table of V_1 V_2 and then over i, for EVAL_BLOCK points at
     a time so that the tables stay small. The result has shape
@@ -797,8 +798,9 @@ def eval_fields(F, pts):
         raise TypeError(f"eval_fields evaluates scalar fields, got {family.__name__}")
     pts = np.asarray(pts)
     p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float))
-    D = dense_degree(F.flat) + 1
-    X = np.stack([to_dense(q, D) for q in F.flat]).astype(p.dtype).reshape(F.size, D, D * D)
+    X = FieldStack.of([F]).cubes.astype(p.dtype)
+    D = X.shape[-1]
+    X = X.reshape(F.size, D, D * D)
     out = np.empty((len(p), F.size), dtype=p.dtype)
     for a in range(0, len(p), EVAL_BLOCK):
         V = family.dense_values(D, p[a:a + EVAL_BLOCK])

@@ -28,7 +28,7 @@ import scipy.linalg
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import Material, rotation_gradient, strain_curl
-from .stresses import assemble as assemble_stresses
+from .stresses import assemble as assemble_stresses, equilibrium_residual
 from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
 
@@ -153,7 +153,7 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     """
     U = pf.FieldStack.of([u_star])
     state = assemble_stresses(U.batch(), mat)
-    f = pf.mat_div(state.total_curl) * -1.0
+    f = equilibrium_residual(state) * -1.0
     V = basis.fields.batch()
     b = pf.batch_gram(V, f)[:, 0]
     if include_boundary:

@@ -1,17 +1,24 @@
 """Boundary tractions and double forces on faces of the unit box.
 
-Both stress routes split the boundary virtual work into a force traction
-paired with the test field and a tangential double force paired with the
-normal derivative of the test field. The splits are not pointwise equal:
-their integrands differ by tangential divergences, so individual terms
-disagree while totals agree for test fields supported inside a face.
-Every face work is an exact integral of a polynomial over the face.
+A route is its total force stress T and its surface moment B on a face
+with normal n, both given by `_route`, the one reader of route and
+orientation names: T = sigma + tau_curl and B = sym M, M with rows m_i x n
+for m = m_curl, on the curl route; T = sigma - tau_axl and
+B = +-(1/2) anti(m.n) for m = m_axl on the axl route. From (T, B) come the
+force traction t = T.n - grad(B P) : P with P = Id - n otimes n, the double
+force g = B.n, the per-face edge force B.nu and the unsplit face work
+(T.n).v + B : grad v. The last is the raw pairing of both routes, since
+M : sym grad v = sym M : grad v and (1/2)(m.n).curl v = (1/2) anti(m.n) : grad v.
+The two splits differ by tangential divergences, so their terms disagree
+while totals agree for test fields supported inside a face. Every face
+work is an exact integral of a polynomial over the face.
 
 The axl route carries an orientation switch. "energetic" uses the spin
 convention anti(v).w = v x w throughout, under which its double force
 coincides pointwise with the curl-route one. "appendix" uses the opposite
-spin sign, which is the form the split is usually quoted in; it flips the
-double force and the tangential correction of the force traction.
+spin sign, which is the form the split is usually quoted in; it flips B,
+and with it the double force and the tangential correction of the traction.
+The curl route has no orientation and records "energetic".
 """
 from __future__ import annotations
 
@@ -100,39 +107,48 @@ class TractionSet:
         return self.face.restrict(comp).max_abs_coeff()
 
 
-def _curl_double_force(state: StressState, face: Face):
-    """sym M and the double force g = (sym M).n it gives."""
-    symM = tn.sym(surface_moment_matrix(state.m_curl, face.normal))
-    return symM, tn.matvec(symM, face.normal)
+def _route(state: StressState, face: Face, formulation, orientation):
+    """T, B and the recorded orientation of one route on one face; T as a
+    function of no arguments, so that readers of B alone do not form it."""
+    if formulation not in ("curl", "axl"):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if orientation not in _ORIENTATIONS:
+        raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
+    n = face.normal
+    if formulation == "curl":
+        B = tn.sym(surface_moment_matrix(state.m_curl, n))
+        return (lambda: state.total_curl), B, "energetic"
+    sign = 1.0 if orientation == "energetic" else -1.0
+    B = tn.anti(tn.matvec(state.m_axl, n)) * (0.5 * sign)
+    return (lambda: state.total_axl), B, orientation
+
+
+def _double_force(state, face, formulation, orientation="energetic"):
+    """g = B.n, without the force traction."""
+    return tn.matvec(_route(state, face, formulation, orientation)[1], face.normal)
+
+
+def _traction_set(state, face, formulation, orientation):
+    """t = T.n - grad(B P) : P and g = B.n."""
+    T, B, orientation = _route(state, face, formulation, orientation)
+    n = face.normal
+    t = tn.matvec(T(), n) - tangential_divergence(B, face)
+    return TractionSet(face, formulation, t, tn.matvec(B, n), orientation)
 
 
 def curl_double_force(state: StressState, face: Face):
     """Curl-route double force g = (sym M).n, without the force traction."""
-    return _curl_double_force(state, face)[1]
+    return _double_force(state, face, "curl")
 
 
 def traction_curl_form(state: StressState, face: Face):
     """t = (sigma + tau).n - grad[(sym M)(Id-nxn)]:(Id-nxn), g = (sym M).n."""
-    symM, g = _curl_double_force(state, face)
-    t = tn.matvec(state.total_curl, face.normal) - tangential_divergence(symM, face)
-    return TractionSet(face, "curl", t, g)
-
-
-def _axl_double_force(state: StressState, face: Face, orientation):
-    """m.n, the spin sign of the orientation, and g = +-(1/2) (m.n) x n."""
-    if orientation not in _ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
-    sign = 1.0 if orientation == "energetic" else -1.0
-    v = tn.matvec(state.m_axl, face.normal)
-    return v, sign, tn.cross(v, face.normal) * (0.5 * sign)
+    return _traction_set(state, face, "curl", "energetic")
 
 
 def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
     """t = (sigma - tau).n -+ (1/2) grad[anti(m.n) P]:P, g = +-(1/2) (m.n) x n."""
-    v, sign, g = _axl_double_force(state, face, orientation)
-    corr = tangential_divergence(tn.anti(v), face)
-    t = tn.matvec(state.total_axl, face.normal) - corr * (0.5 * sign)
-    return TractionSet(face, "axl", t, g, orientation=orientation)
+    return _traction_set(state, face, "axl", orientation)
 
 
 def erroneous_mindlin_tiersten(state: StressState, face: Face):
@@ -150,22 +166,11 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
 
 def compare_double_forces(state: StressState, face: Face):
     """Curl-route double force against both orientations of the axl route."""
-    g_curl = curl_double_force(state, face)
-    g_en = _axl_double_force(state, face, "energetic")[2]
-    g_ap = _axl_double_force(state, face, "appendix")[2]
-    agree = pf.max_abs_coeff_vec(
-        pf.as_vec([face.restrict(g_curl[i] - g_en[i]) for i in range(3)])
-    )
-    oppose = pf.max_abs_coeff_vec(
-        pf.as_vec([face.restrict(g_curl[i] + g_ap[i]) for i in range(3)])
-    )
-    return {
-        "curl": g_curl,
-        "axl-energetic": g_en,
-        "axl-appendix": g_ap,
-        "curl-vs-energetic": agree,
-        "curl-plus-appendix": oppose,
-    }
+    g = {"curl": curl_double_force(state, face),
+         **{f"axl-{o}": _double_force(state, face, "axl", o) for o in _ORIENTATIONS}}
+    agree, oppose = (pf.max_abs_coeff([face.restrict(p) for p in vec])
+                     for vec in (g["curl"] - g["axl-energetic"], g["curl"] + g["axl-appendix"]))
+    return {**g, "curl-vs-energetic": agree, "curl-plus-appendix": oppose}
 
 
 # --- face work ----------------------------------------------------------------
@@ -174,12 +179,7 @@ def compare_double_forces(state: StressState, face: Face):
 def boundary_virtual_work(state, face, test, formulation="curl",
                           orientation="energetic"):
     """Exact face work: traction term, double-force term, total."""
-    if formulation == "curl":
-        ts = traction_curl_form(state, face)
-    elif formulation == "axl":
-        ts = traction_axl_form(state, face, orientation)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+    ts = _traction_set(state, face, formulation, orientation)
     dn = tn.matvec(pf.jac(test), face.normal)
     traction_term = face.integrate(tn.inner_vec(ts.traction, test))
     double_term = face.integrate(tn.inner_vec(ts.double_force, dn))
@@ -220,21 +220,11 @@ def face_work_comparison(state, face, test):
 
 
 def unsplit_face_work(state, face, test, formulation="curl"):
-    """Raw boundary pairing before the tangential split, integrated exactly."""
-    n = face.normal
-    J = pf.jac(test)
-    if formulation == "curl":
-        tvec = tn.matvec(state.total_curl, n)
-        M = surface_moment_matrix(state.m_curl, n)
-        moment = tn.inner(M, tn.sym(J))
-    elif formulation == "axl":
-        tvec = tn.matvec(state.total_axl, n)
-        v = tn.matvec(state.m_axl, n)
-        moment = tn.inner_vec(v, pf.curl(test)) * 0.5
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
-    force = tn.inner_vec(tvec, test)
-    return face.integrate(force + moment)
+    """Raw boundary pairing (T.n).v + B : grad v before the tangential split,
+    with the energetic B of the route, integrated exactly."""
+    T, B, _ = _route(state, face, formulation, "energetic")
+    force = tn.inner_vec(tn.matvec(T(), face.normal), test)
+    return face.integrate(force + tn.inner(B, pf.jac(test)))
 
 
 def closed_boundary_work(state, test, formulation="curl"):
@@ -312,23 +302,13 @@ def edge_conormal(face: Face, edge_axis: int, edge_value: float):
 
 def edge_force(state, face: Face, edge_axis: int, edge_value: float,
                formulation="curl", orientation="energetic"):
-    """Per-face edge contribution [moment matrix].nu along one face edge.
+    """Per-face edge contribution B.nu along one face edge.
 
     The physical edge force is the sum of this quantity over the two faces
     meeting at the edge.
     """
     if edge_axis == face.axis:
         raise ValueError("edge axis must be tangential to the face")
-    nu = edge_conormal(face, edge_axis, edge_value)
-    if formulation == "curl":
-        B = tn.sym(surface_moment_matrix(state.m_curl, face.normal))
-    elif formulation == "axl":
-        v, sign, _ = _axl_double_force(state, face, orientation)
-        B = tn.anti(v) * (0.5 * sign)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
-    vec = tn.matvec(B, nu)
-    out = []
-    for i in range(3):
-        out.append(vec[i].restrict(face.axis, face.value).restrict(edge_axis, edge_value))
-    return pf.as_vec(out)
+    vec = tn.matvec(_route(state, face, formulation, orientation)[1],
+                    edge_conormal(face, edge_axis, edge_value))
+    return pf.as_vec([face.restrict(p).restrict(edge_axis, edge_value) for p in vec])
