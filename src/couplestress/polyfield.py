@@ -10,7 +10,9 @@ holds n fields of either scalar family as dense per-axis coefficient cubes
 read. A `DenseBatch` holds one component of a stack as a scalar: the field
 operators run on object arrays of batches unchanged and evaluate every
 field of the stack in one pass, with diff as a 1D matrix contraction per
-axis.
+axis. On a batch of `DerivativeSymbol` cubes the same operators give
+their own constant-coefficient symbols, from which `symbol_grams` pairs
+their images over a basis of separable scalars without forming them.
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -504,9 +506,12 @@ class DenseBatch:
         return self._like(coef)
 
     def diff(self, axis):
-        ax = _axis(axis)
-        R = self.family.dense_diff(self.coef.shape[-1])
-        return self._like(np.moveaxis(np.tensordot(R, self.coef, (1, ax + 1)), 0, ax + 1))
+        """One contraction with the family's R[out, in]; out past the layout raises ValueError."""
+        ax, D = _axis(axis), self.coef.shape[-1]
+        T = np.tensordot(self.family.dense_diff(D), self.coef, (1, ax + 1))
+        if np.any(T[D:]):
+            raise ValueError(f"a derivative leaves the {self.family.__name__} layout of size {D}")
+        return self._like(np.moveaxis(T[:D], 0, ax + 1))
 
     def restrict(self, axis, value):
         """Substitute one variable by a constant: the trace moves to index 0."""
@@ -517,6 +522,81 @@ class DenseBatch:
         at[ax + 1] = 0
         coef[tuple(at)] = np.tensordot(self.coef, vals, (ax + 1, 0))
         return self._like(coef)
+
+
+# --- derivative symbols and sum-factorized Grams ---------------------------
+#
+# A field operator built from derivatives with constant coefficients maps
+# s e_d, for any scalar s, to a field whose component q is
+# sum_alpha W[d, q, alpha] d^alpha s. Running the operator on the unit
+# fields e_d of the symbol family below gives W, and over a basis of
+# separable scalars s_n = phi_n0(x) phi_n1(y) phi_n2(z) every box integral
+# of two such images factors into 1D integrals of the phi and their
+# derivatives (sum factorization: Orszag, J. Comput. Phys. 37, 1980).
+
+SYMBOL_SIZE = 3  # derivative counts 0, 1 and 2 on each axis
+
+
+class DerivativeSymbol:
+    """Derivative operators with constant coefficients as a family of dense cubes.
+
+    Index [i, j, k] of a cube stands for d^i/dx^i d^j/dy^j d^k/dz^k, so
+    `dense_diff` is the shift up by one on its axis and index 0 (no
+    derivative) is the identity, the family's constant. The shift has one
+    row past the layout, so that a derivative beyond the layout raises in
+    `DenseBatch.diff` instead of being dropped.
+    """
+
+    @staticmethod
+    def dense_diff(D):
+        """Shift-up R[out, in] = 1 at out = in + 1, with out running to D."""
+        R = np.zeros((D + 1, D))
+        R[np.arange(1, D + 1), np.arange(D)] = 1.0
+        return R
+
+
+def unit_symbols():
+    """The unit fields e_d as one symbol batch: entry q of field d is the identity iff q = d."""
+    coef = np.zeros((3, 3) + (SYMBOL_SIZE,) * 3)
+    coef[range(3), range(3), 0, 0, 0] = 1.0
+    return as_vec([DenseBatch(coef[:, q], DerivativeSymbol) for q in range(3)])
+
+
+def factor_moments(rows, family):
+    """M[p, q, i, j] = integral over [0, 1] of phi_i^(p) phi_j^(q), for p, q < SYMBOL_SIZE.
+
+    rows (n, D) hold the 1D factors phi_i on a layout of the family that is
+    closed under d/dx; the derivative rows come from its `dense_diff`.
+    """
+    D = rows.shape[-1]
+    Rt = family.dense_diff(D).T
+    derivs = [rows]
+    for _ in range(SYMBOL_SIZE - 1):
+        derivs.append(derivs[-1] @ Rt)
+    P = np.stack(derivs)
+    return np.tensordot(P @ family.dense_moments(D), P, (2, 2)).transpose(0, 2, 1, 3)
+
+
+def symbol_grams(terms, M):
+    """Grams of operator images over the basis s_n e_d, from the operators' symbols.
+
+    Each term is an operator applied to `unit_symbols()`, as one symbol
+    batch or an array of them; M is the `factor_moments` of the basis
+    factors phi, with n in range(len(phi))^3, n0 slowest and d fastest.
+    With C[d, alpha, e, beta] = sum_q W[d, q, alpha] W[e, q, beta], a
+    term's Gram is sum over alpha, beta of C[d, alpha, e, beta] times the
+    product over the axes of M[alpha_i, beta_i][n_i, m_i]: one tensordot
+    per axis. Returns an array (len(terms), N, N), N = 3 len(phi)^3.
+    """
+    S = SYMBOL_SIZE
+    Ws = [np.stack([p.coef for p in np.ravel(t)], axis=1).reshape(3, -1, S**3) for t in terms]
+    C = np.stack([np.tensordot(W, W, (1, 1)) for W in Ws])
+    C = C.reshape((len(terms), 3) + (S,) * 3 + (3,) + (S,) * 3)
+    T = np.tensordot(C, M, ([2, 6], [0, 1]))  # (t, d, a1, a2, e, b1, b2, n0, m0)
+    T = np.tensordot(T, M, ([2, 5], [0, 1]))  # (t, d, a2, e, b2, n0, m0, n1, m1)
+    T = np.tensordot(T, M, ([2, 4], [0, 1]))  # (t, d, e, n0, m0, n1, m1, n2, m2)
+    N = 3 * M.shape[-1] ** 3
+    return T.transpose(0, 3, 5, 7, 1, 4, 6, 8, 2).reshape(len(terms), N, N)
 
 
 def batch_fields(fields):

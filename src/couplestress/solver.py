@@ -6,21 +6,28 @@ the basis fields are polynomials (or exact trigonometric products). The
 bilinear form can be assembled from either curvature route and the two
 stiffness matrices must agree entry by entry.
 
-A basis is its coefficient stack, one `polyfield.FieldStack`, whose
-family only chooses the per-axis index of a term and its 1D moment and
-derivative matrices: monomial exponents for the bubble basis, sin/cos
-factors for the sine basis. The operators run once per assembly on the
-stack as one `polyfield.DenseBatch` per component, the manufactured load
-runs them on u_star as a one-field batch, and every pairing is one
-contraction of coefficient cubes, `polyfield.batch_gram`. Since the same
-operator code runs on a batch as on a single field, the curl-against-axl
-agreement of K still tests the identity between the two routes. Every
-linear system goes through one dense solve, `refined_solve`.
+A basis is a list of 1D factors in one scalar family (t(1-t) t^i for the
+bubble basis, sin((i+1) pi t) for the sine basis): its fields are
+s_n e_d with s_n a product of three factors. Every term of the stiffness
+is linear with constant coefficients, so `assemble` runs the unchanged
+operator code once per curvature route on `polyfield.unit_symbols()`,
+whose entries are derivative symbols, and forms each Gram from those
+symbols and the 1D moments of the factors and their derivatives
+(`polyfield.symbol_grams`: one tensordot per axis). Since the symbols
+come from the same operator code as every other path, the curl-against-
+axl agreement of K still tests the identity between the two routes. The
+loads pair their fields with the factors in the same way, the face
+double force through the factors' derivatives at the face. The basis is
+also one `polyfield.FieldStack`, for displacements and the companion
+spans, and the manufactured load runs the stresses on u_star as a
+one-field batch. Every linear system goes through one dense solve,
+`refined_solve`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,24 +43,37 @@ from .trig import TrigPoly
 # --- bases -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Basis:
-    """A Galerkin basis: its fields as one `polyfield.FieldStack`."""
+    """A Galerkin basis: fields s_n e_d over the separable scalars s_n, d fastest.
 
-    fields: pf.FieldStack
+    s_n = phi_n0(x) phi_n1(y) phi_n2(z) for n in range(order)^3, n0
+    slowest, and `factors` holds the 1D factors phi_i as rows on the
+    family's dense index. Assembly and loads read only the factors;
+    `fields` is the same basis as one `polyfield.FieldStack` (each scalar's
+    cube in its component slot), for displacements and companions.
+    """
+
+    family: type
+    factors: np.ndarray
     kind: str
-    order: int
+    cap: int = pf.DEFAULT_CAP
+    fields: pf.FieldStack = field(init=False, repr=False)
+
+    def __post_init__(self):
+        F = self.factors
+        S = np.einsum("ai,bj,ck->abcijk", F, F, F)
+        S = S.reshape((-1,) + S.shape[3:])
+        X = np.zeros((len(S), 3, 3) + S.shape[1:])
+        X[:, range(3), range(3)] = S[:, None]
+        self.fields = pf.FieldStack(X.reshape((-1, 3) + S.shape[1:]), self.cap, self.family)
+
+    @property
+    def order(self):
+        return len(self.factors)
 
     def __len__(self):
         return len(self.fields)
-
-
-def _component_basis(scalars, kind, order):
-    """Fields s e_d for the scalars s in turn, d fastest: each cube in its component slot."""
-    S = pf.FieldStack.of(scalars)
-    X = np.zeros((len(S), 3, 3) + S.cubes.shape[1:])
-    X[:, range(3), range(3)] = S.cubes[:, None]
-    return Basis(pf.FieldStack(X.reshape((-1, 3) + X.shape[3:]), S.cap, S.family), kind, order)
 
 
 BUBBLE_CAP = 14
@@ -71,14 +91,22 @@ def bubble_scalars(order):
 
 
 def bubble_basis(order):
-    """Fields B(x) x^a y^b z^c e_d from `bubble_scalars`, dimension 3 order^3."""
-    return _component_basis(bubble_scalars(order), "bubble", order)
+    """Fields B(x) x^a y^b z^c e_d of `bubble_scalars`, dimension 3 order^3.
+
+    The 1D factors are t(1 - t) t^i, i < order; the cap is that of the
+    scalars, each a product of seven fields of cap BUBBLE_CAP.
+    """
+    F = np.zeros((order, order + 2))
+    F[range(order), range(1, order + 1)] = 1.0
+    F[range(order), range(2, order + 2)] = -1.0
+    return Basis(pf.Poly3, F, "bubble", 7 * BUBBLE_CAP)
 
 
 def sine_basis(order):
     """Fields sin(a pi x) sin(b pi y) sin(c pi z) e_d, frequencies 1..order."""
-    freqs = itertools.product(range(1, order + 1), repeat=3)
-    return _component_basis([TrigPoly.sine_mode(f) for f in freqs], "sine", order)
+    F = np.zeros((order, 2 * order + 1))
+    F[range(order), range(1, 2 * order, 2)] = 1.0  # sin(f pi t) sits at index 2 f - 1
+    return Basis(TrigPoly, F, "sine")
 
 
 # --- assembly -----------------------------------------------------------------
@@ -101,27 +129,37 @@ def assemble(basis, mat, formulation="curl"):
     + mu ell^2 (2 a1 <dev sym ku, dev sym kv> + 2 a2 <skw ku, skw kv>);
     G is the Gram of |grad u|^2 + |Curl sym grad u|^2.
 
-    The operators run once, on the whole basis as one batch; each term is
-    paired as soon as it is formed, so only one term's stack is alive.
+    Every term is linear with constant coefficients, so the operators run
+    on `polyfield.unit_symbols()` (once per curvature operator) and each
+    Gram is formed from their symbols and the 1D moments of the basis
+    factors, by `polyfield.symbol_grams`.
     """
     if formulation not in ("curl", "axl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
-    U = basis.fields.batch()
-    J = pf.jac(U)
-    k_curl = strain_curl(U)
-    k = k_curl if formulation == "curl" else rotation_gradient(U)
-    gram = pf.batch_gram
+    curvature = strain_curl if formulation == "curl" else rotation_gradient
+    sym_J, tr_J, devsym_k, skw_k, gram_J, gram_k = pf.symbol_grams(
+        _term_symbols(curvature, strain_curl),
+        pf.factor_moments(basis.factors, basis.family))
     s = mat.curvature_scale
     K = (
-        2.0 * mat.mu * gram(tn.sym(J))
-        + mat.lam * gram(tn.trace(J))
-        + s * (2.0 * mat.alpha1 * gram(tn.devsym(k)) + 2.0 * mat.alpha2 * gram(tn.skw(k)))
+        2.0 * mat.mu * sym_J
+        + mat.lam * tr_J
+        + s * (2.0 * mat.alpha1 * devsym_k + 2.0 * mat.alpha2 * skw_k)
     )
-    G = gram(J) + gram(k_curl)
+    G = gram_J + gram_k
     K = finite(0.5 * (K + K.T), "stiffness", mat)
     G = 0.5 * (G + G.T)
     return Assembly(basis, mat, formulation, K, G)
+
+
+@functools.cache
+def _term_symbols(curvature, norm_curvature):
+    """The terms of `assemble` on the unit symbols, formed once per pair of operators."""
+    U = pf.unit_symbols()
+    J = pf.jac(U)
+    k = curvature(U)
+    return (tn.sym(J), tn.trace(J), tn.devsym(k), tn.skw(k), J, norm_curvature(U))
 
 
 def finite(A, what, constants):
@@ -131,9 +169,45 @@ def finite(A, what, constants):
     return A
 
 
+def _load_pairing(basis, F, faces=()):
+    """Volume pairing of a one-field vector batch F with every basis field, plus face terms.
+
+    For the field s_n e_d the volume entry is the integral of F_d s_n; a
+    face (x_a = v, normal n) with its batch G adds the integral over the
+    face of G_d n_a d_a s_n. Each is sum_ijk A0[n0, i] A1[n1, j] A2[n2, k]
+    X_d[i, j, k] for the cubes X of F or G: A = phi Mom on an axis that is
+    integrated, and A[n, i] = n_a phi'_n(v) V_i(v) on the normal axis, V
+    the family's 1D values at v.
+    """
+    family = basis.family
+    batches = [*F, *(p for _, G in faces for p in G)]
+    if any(p.family is not family for p in batches):
+        raise TypeError("dense pairing needs one scalar family")
+    D = max([basis.factors.shape[-1]] + [p.coef.shape[-1] for p in batches])
+    Phi = np.zeros((basis.order, D))
+    Phi[:, :basis.factors.shape[-1]] = basis.factors
+    A = Phi @ family.dense_moments(D)
+
+    def pair(X, rows):
+        """The contraction on X's own layout, which holds all of its nonzeros."""
+        X = np.stack([p.coef[0] for p in X])
+        d = X.shape[-1]
+        A0, A1, A2 = (r[:, :d] for r in rows)
+        T = A0 @ (A1 @ (X @ A2.T)).reshape(3, d, -1)
+        return T.reshape(3, -1).T.ravel()
+
+    b = pair(F, [A] * 3)
+    for face, G in faces:
+        V = family.dense_values(D, face.value)
+        rows = [A] * 3
+        rows[face.axis] = np.outer(face.normal[face.axis] * (Phi @ family.dense_diff(D).T @ V), V)
+        b += pair(G, rows)
+    return b
+
+
 def load_vector(basis, f):
-    """b_a = integral of <f, basis field a>."""
-    return pf.batch_gram(basis.fields.batch(), pf.batch_fields([f]))[:, 0]
+    """b_a = integral of <f, basis field a>, through the basis factors."""
+    return _load_pairing(basis, pf.batch_fields([f]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -146,22 +220,16 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     <g(u_star), grad v . n> that must be added to the load; dropping it is
     a genuine (demonstrable) error, not a simplification.
 
-    The stresses run on u_star as a one-field batch and each pairing with
-    the basis batch is one `polyfield.batch_gram`; the face traces of
-    grad v . n and g sit at index 0 on the normal axis, whose moment is 1.
-    f comes back as a field of u_star's family; b must be `finite`.
+    The stresses run on u_star as a one-field batch, and f and each face's
+    g are paired with the basis through its 1D factors, the face term
+    through the factors' derivatives at the face. f comes back as a field
+    of u_star's family; b must be `finite`.
     """
     U = pf.FieldStack.of([u_star])
     state = assemble_stresses(U.batch(), mat)
     f = equilibrium_residual(state) * -1.0
-    V = basis.fields.batch()
-    b = pf.batch_gram(V, f)[:, 0]
-    if include_boundary:
-        J = pf.jac(V)
-        for face in ALL_FACES:
-            dn = [face.restrict(p) for p in tn.matvec(J, face.normal)]
-            g = [face.restrict(p) for p in curl_double_force(state, face)]
-            b += pf.batch_gram(dn, g)[:, 0]
+    faces = ALL_FACES if include_boundary else ()
+    b = _load_pairing(basis, f, [(face, curl_double_force(state, face)) for face in faces])
     (f,) = pf.FieldStack(np.stack([p.coef for p in f], axis=1), U.cap, U.family)
     return f, finite(b, "load", mat)
 
