@@ -70,14 +70,26 @@ class Material:
 # --- curvature measures --------------------------------------------------
 
 
+def curvature_from_jacobian(J, route):
+    """The curvature of one route from J = grad u, for a caller that holds J.
+
+    route "axl": grad(axl(skw J)); route "curl": Curl(sym J).
+    """
+    if route == "axl":
+        return pf.jac(tn.axl(tn.skw(J)))
+    if route == "curl":
+        return pf.mat_curl(tn.sym(J))
+    raise ValueError(f"unknown curvature route {route!r}")
+
+
 def rotation_gradient(u):
     """k = grad(axl(skw(grad u))), the gradient of the continuum rotation."""
-    return pf.jac(tn.axl(tn.skw(pf.jac(u))))
+    return curvature_from_jacobian(pf.jac(u), "axl")
 
 
 def strain_curl(u):
     """k = Curl(sym(grad u)), row-wise curl of the strain."""
-    return pf.mat_curl(tn.sym(pf.jac(u)))
+    return curvature_from_jacobian(pf.jac(u), "curl")
 
 
 # --- local elastic density -------------------------------------------------

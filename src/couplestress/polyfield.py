@@ -9,10 +9,12 @@ holds n fields of either scalar family as dense per-axis coefficient cubes
 (stacked once, by `FieldStack.of`) and builds a field only when an item is
 read. A `DenseBatch` holds one component of a stack as a scalar: the field
 operators run on object arrays of batches unchanged and evaluate every
-field of the stack in one pass, with diff as a 1D matrix contraction per
-axis. On a batch of `DerivativeSymbol` cubes the same operators give
-their own constant-coefficient symbols, from which `symbol_grams` pairs
-their images over a basis of separable scalars without forming them.
+field of the stack in one pass, with diff as an index gather with weights
+on one axis, read once per family and layout from the family's 1D
+derivative matrix. On a batch of `DerivativeSymbol` cubes the same
+operators give their own constant-coefficient symbols, from which
+`symbol_grams` forms weighted sums of the Grams of their images over a
+basis of separable scalars without forming the images.
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -32,6 +34,8 @@ the order of the dict double loop, so both paths give the same coefficients
 in the same key order.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -444,11 +448,12 @@ class DenseBatch:
     A batch stands in for a scalar inside the field operators (`jac`,
     `mat_curl`, the `tensors` algebra), so one call of an operator on an
     object array of batches evaluates it on every field of the stack at
-    once. diff is one contraction with the family's 1D derivative matrix;
-    sums, differences and float multiples act on the whole array. The only
-    product of two batches is by a batch that is constant in space, which
-    `tensors.identity_like` and `tensors.sph` need; any other raises
-    TypeError. There is no __len__, __getitem__ or __array__, so numpy
+    once. The family's 1D derivative matrix has at most one nonzero per
+    row, so diff gathers each output slot from its one source slot times
+    its weight (`_diff_gather`); sums, differences and float multiples act
+    on the whole array. The only product of two batches is by a batch that
+    is constant in space, which `tensors.identity_like` and `tensors.sph`
+    need; any other raises TypeError. There is no __len__, __getitem__ or __array__, so numpy
     holds a batch as one object entry.
     """
 
@@ -506,12 +511,19 @@ class DenseBatch:
         return self._like(coef)
 
     def diff(self, axis):
-        """One contraction with the family's R[out, in]; out past the layout raises ValueError."""
+        """The family's R[out, in] as a gather: out takes its one source times its weight.
+
+        A nonzero source whose out lies past the layout raises ValueError;
+        an out with no source is zero, so a NaN stays in its own slot.
+        """
         ax, D = _axis(axis), self.coef.shape[-1]
-        T = np.tensordot(self.family.dense_diff(D), self.coef, (1, ax + 1))
-        if np.any(T[D:]):
+        out, src, w, past = _diff_gather(self.family, D)
+        lead = (slice(None),) * (ax + 1)
+        if past is not None and np.any(self.coef[lead + (past,)]):
             raise ValueError(f"a derivative leaves the {self.family.__name__} layout of size {D}")
-        return self._like(np.moveaxis(T[:D], 0, ax + 1))
+        coef = np.zeros_like(self.coef)
+        coef[lead + (out,)] = self.coef[lead + (src,)] * w.reshape((-1,) + (1,) * (2 - ax))
+        return self._like(coef)
 
     def restrict(self, axis, value):
         """Substitute one variable by a constant: the trace moves to index 0."""
@@ -522,6 +534,33 @@ class DenseBatch:
         at[ax + 1] = 0
         coef[tuple(at)] = np.tensordot(self.coef, vals, (ax + 1, 0))
         return self._like(coef)
+
+
+@functools.cache
+def _diff_gather(family, D):
+    """out, src, w and past of the family's R[out, in] on layout D, formed once.
+
+    Every family's derivative has at most one nonzero per row, so row out
+    of R reads the one source src with weight w. past holds the sources
+    whose row lies past the layout (None if there are none); index runs
+    with one step are slices.
+    """
+    R = family.dense_diff(D)
+    out, src = np.nonzero(R)
+    if len(np.unique(out)) != len(out):
+        raise ValueError(f"the {family.__name__} derivative has a row with two sources")
+    w = R[out, src]
+    inside = out < D
+    past = None if inside.all() else _as_slice(src[~inside])
+    return _as_slice(out[inside]), _as_slice(src[inside]), w[inside], past
+
+
+def _as_slice(idx):
+    """An index run of one positive step as a slice; any other run as it is."""
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if len(idx) and step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return slice(int(idx[0]), int(idx[-1]) + 1, int(step))
+    return idx
 
 
 # --- derivative symbols and sum-factorized Grams ---------------------------
@@ -577,26 +616,35 @@ def factor_moments(rows, family):
     return np.tensordot(P @ family.dense_moments(D), P, (2, 2)).transpose(0, 2, 1, 3)
 
 
-def symbol_grams(terms, M):
-    """Grams of operator images over the basis s_n e_d, from the operators' symbols.
+def symbol_grams(terms, weights, M):
+    """Weighted sums of the Grams of operator images over the basis s_n e_d.
 
     Each term is an operator applied to `unit_symbols()`, as one symbol
     batch or an array of them; M is the `factor_moments` of the basis
     factors phi, with n in range(len(phi))^3, n0 slowest and d fastest.
-    With C[d, alpha, e, beta] = sum_q W[d, q, alpha] W[e, q, beta], a
-    term's Gram is sum over alpha, beta of C[d, alpha, e, beta] times the
-    product over the axes of M[alpha_i, beta_i][n_i, m_i]: one tensordot
-    per axis. Returns an array (len(terms), N, N), N = 3 len(phi)^3.
+    With C_t[d, alpha, e, beta] = sum_q W[d, q, alpha] W[e, q, beta] for
+    term t, Gram g is sum over alpha, beta of
+    (sum_t weights[g, t] C_t)[d, alpha, e, beta] times the product over the
+    axes of M[alpha_i, beta_i][n_i, m_i]: the sum is linear in C, so the
+    weights enter before the one tensordot per axis and only one Gram per
+    row of weights is formed. Each row is scaled by the power of two at
+    its largest magnitude, and its Gram scaled back at the end (exact in
+    binary), so no step overflows unless the weighted Gram does. Returns
+    an array (len(weights), N, N), N = 3 len(phi)^3.
     """
     S = SYMBOL_SIZE
     Ws = [np.stack([p.coef for p in np.ravel(t)], axis=1).reshape(3, -1, S**3) for t in terms]
     C = np.stack([np.tensordot(W, W, (1, 1)) for W in Ws])
-    C = C.reshape((len(terms), 3) + (S,) * 3 + (3,) + (S,) * 3)
-    T = np.tensordot(C, M, ([2, 6], [0, 1]))  # (t, d, a1, a2, e, b1, b2, n0, m0)
-    T = np.tensordot(T, M, ([2, 5], [0, 1]))  # (t, d, a2, e, b2, n0, m0, n1, m1)
-    T = np.tensordot(T, M, ([2, 4], [0, 1]))  # (t, d, e, n0, m0, n1, m1, n2, m2)
+    weights = np.asarray(weights, dtype=float)
+    _, e = np.frexp(np.max(np.abs(weights), axis=1))
+    C = np.tensordot(np.ldexp(weights, -e[:, None]), C, (1, 0))
+    C = C.reshape((len(weights), 3) + (S,) * 3 + (3,) + (S,) * 3)
+    T = np.tensordot(C, M, ([2, 6], [0, 1]))  # (g, d, a1, a2, e, b1, b2, n0, m0)
+    T = np.tensordot(T, M, ([2, 5], [0, 1]))  # (g, d, a2, e, b2, n0, m0, n1, m1)
+    T = np.tensordot(T, M, ([2, 4], [0, 1]))  # (g, d, e, n0, m0, n1, m1, n2, m2)
     N = 3 * M.shape[-1] ** 3
-    return T.transpose(0, 3, 5, 7, 1, 4, 6, 8, 2).reshape(len(terms), N, N)
+    T = T.transpose(0, 3, 5, 7, 1, 4, 6, 8, 2).reshape(len(weights), N, N)
+    return np.ldexp(T, e[:, None, None])
 
 
 def batch_fields(fields):

@@ -11,17 +11,18 @@ bubble basis, sin((i+1) pi t) for the sine basis): its fields are
 s_n e_d with s_n a product of three factors. Every term of the stiffness
 is linear with constant coefficients, so `assemble` runs the unchanged
 operator code once per curvature route on `polyfield.unit_symbols()`,
-whose entries are derivative symbols, and forms each Gram from those
-symbols and the 1D moments of the factors and their derivatives
-(`polyfield.symbol_grams`: one tensordot per axis). Since the symbols
-come from the same operator code as every other path, the curl-against-
-axl agreement of K still tests the identity between the two routes. The
-loads pair their fields with the factors in the same way, the face
-double force through the factors' derivatives at the face. The basis is
-also one `polyfield.FieldStack`, for displacements and the companion
-spans, and the manufactured load runs the stresses on u_star as a
-one-field batch. Every linear system goes through one dense solve,
-`refined_solve`.
+whose entries are derivative symbols, and forms K and G from those
+symbols, weighted by the material, and the 1D moments of the factors and
+their derivatives (`polyfield.symbol_grams`: two Grams, one tensordot per
+axis each). Since the symbols come from the same operator code as every
+other path, the curl-against-axl agreement of K still tests the identity
+between the two routes. The loads pair their fields with the factors in
+the same way, the face double force through the factors' derivatives at
+the face. The basis is also one `polyfield.FieldStack`, for
+displacements and the companion spans. The manufactured load runs the
+stresses on u_star as a one-field batch and reads only the curl route,
+so it forms one Jacobian and no axl field, and one double force per
+axis. Every linear system goes through one dense solve, `refined_solve`.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import scipy.linalg
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import Material, rotation_gradient, strain_curl
+from .energies import Material, curvature_from_jacobian, rotation_gradient, strain_curl
 from .stresses import assemble as assemble_stresses, equilibrium_residual
 from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
@@ -130,24 +131,21 @@ def assemble(basis, mat, formulation="curl"):
     G is the Gram of |grad u|^2 + |Curl sym grad u|^2.
 
     Every term is linear with constant coefficients, so the operators run
-    on `polyfield.unit_symbols()` (once per curvature operator) and each
-    Gram is formed from their symbols and the 1D moments of the basis
-    factors, by `polyfield.symbol_grams`.
+    on `polyfield.unit_symbols()` (once per curvature operator), and K and
+    G are formed from their symbols, weighted by the material, and the 1D
+    moments of the basis factors, by `polyfield.symbol_grams`.
     """
     if formulation not in ("curl", "axl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
     curvature = strain_curl if formulation == "curl" else rotation_gradient
-    sym_J, tr_J, devsym_k, skw_k, gram_J, gram_k = pf.symbol_grams(
-        _term_symbols(curvature, strain_curl),
-        pf.factor_moments(basis.factors, basis.family))
     s = mat.curvature_scale
-    K = (
-        2.0 * mat.mu * sym_J
-        + mat.lam * tr_J
-        + s * (2.0 * mat.alpha1 * devsym_k + 2.0 * mat.alpha2 * skw_k)
-    )
-    G = gram_J + gram_k
+    weights = [  # sym J, tr J, devsym k, skw k; then J and the norm's curvature
+        [2.0 * mat.mu, mat.lam, s * (2.0 * mat.alpha1), s * (2.0 * mat.alpha2), 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+    ]
+    K, G = pf.symbol_grams(_term_symbols(curvature, strain_curl), weights,
+                           pf.factor_moments(basis.factors, basis.family))
     K = finite(0.5 * (K + K.T), "stiffness", mat)
     G = 0.5 * (G + G.T)
     return Assembly(basis, mat, formulation, K, G)
@@ -222,14 +220,21 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
 
     The stresses run on u_star as a one-field batch, and f and each face's
     g are paired with the basis through its 1D factors, the face term
-    through the factors' derivatives at the face. f comes back as a field
-    of u_star's family; b must be `finite`.
+    through the factors' derivatives at the face. Only the curl route is
+    read, so the stress state forms none of the axl fields, and g is formed
+    once per axis: reversing n flips both sym(m x n) and n, so the two
+    faces of an axis share it. f comes back as a field of u_star's family;
+    b must be `finite`.
     """
     U = pf.FieldStack.of([u_star])
     state = assemble_stresses(U.batch(), mat)
     f = equilibrium_residual(state) * -1.0
     faces = ALL_FACES if include_boundary else ()
-    b = _load_pairing(basis, f, [(face, curl_double_force(state, face)) for face in faces])
+    g = {}
+    for face in faces:
+        if face.axis not in g:
+            g[face.axis] = curl_double_force(state, face)
+    b = _load_pairing(basis, f, [(face, g[face.axis]) for face in faces])
     (f,) = pf.FieldStack(np.stack([p.coef for p in f], axis=1), U.cap, U.family)
     return f, finite(b, "load", mat)
 
@@ -279,8 +284,8 @@ def displacement(basis, coefficients):
 
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
-    U = pf.batch_fields([u])
-    row = [*np.ravel(pf.jac(U)), *np.ravel(strain_curl(U))]
+    J = pf.jac(pf.batch_fields([u]))
+    row = [*np.ravel(J), *np.ravel(curvature_from_jacobian(J, "curl"))]
     return float(np.sqrt(pf.batch_gram(row)[0, 0]))
 
 

@@ -10,14 +10,18 @@ The same displacement field feeds two bookkeeping schemes:
 Total force stresses differ (sigma - tau_axl vs sigma + tau_curl) yet both
 satisfy the same balance equation: Div of either total is the same vector
 field, equivalently Div(tau_curl + tau_axl) vanishes identically.
+
+A `StressState` forms each field the first time it is read, all of them
+from one Jacobian grad u, so a reader of one route forms none of the
+other route's fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import Material, rotation_gradient, strain_curl
+from .energies import Material, curvature_from_jacobian
 
 
 def couple_stress(k, mat):
@@ -28,54 +32,72 @@ def couple_stress(k, mat):
 
 def force_stress(u, mat):
     """Classical stress 2 mu sym(grad u) + lam tr(grad u) Id."""
-    J = pf.jac(u)
+    return _force_stress(pf.jac(u), mat)
+
+
+def _force_stress(J, mat):
+    """force_stress from J = grad u."""
     iso = tn.identity_like(J) * (tn.trace(J) * mat.lam)
     return tn.sym(J) * (2.0 * mat.mu) + iso
 
 
-@dataclass
 class StressState:
-    """All stress fields of one displacement field under one material."""
+    """All stress fields of one displacement field under one material.
 
-    material: Material
-    u: object
-    k_axl: object
-    k_curl: object
-    sigma: object
-    m_axl: object
-    m_curl: object
-    tau_axl: object
-    tau_curl: object
+    Each field is formed on its first read and kept; every one comes from
+    the one Jacobian `jacobian` = grad u.
+    """
 
-    @property
+    def __init__(self, material: Material, u):
+        self.material = material
+        self.u = u
+
+    @cached_property
+    def jacobian(self):
+        return pf.jac(self.u)
+
+    @cached_property
+    def k_axl(self):
+        return curvature_from_jacobian(self.jacobian, "axl")
+
+    @cached_property
+    def k_curl(self):
+        return curvature_from_jacobian(self.jacobian, "curl")
+
+    @cached_property
+    def sigma(self):
+        return _force_stress(self.jacobian, self.material)
+
+    @cached_property
+    def m_axl(self):
+        return couple_stress(self.k_axl, self.material)
+
+    @cached_property
+    def m_curl(self):
+        return couple_stress(self.k_curl, self.material)
+
+    @cached_property
+    def tau_axl(self):
+        return tn.anti(pf.mat_div(self.m_axl)) * 0.5
+
+    @cached_property
+    def tau_curl(self):
+        return tn.sym(pf.mat_curl(self.m_curl))
+
+    @cached_property
     def total_axl(self):
         """sigma - tau_axl, the total force stress of the axl route."""
         return self.sigma - self.tau_axl
 
-    @property
+    @cached_property
     def total_curl(self):
         """sigma + tau_curl, the total force stress of the curl route."""
         return self.sigma + self.tau_curl
 
 
 def assemble(u, mat):
-    k_axl = rotation_gradient(u)
-    k_curl = strain_curl(u)
-    m_axl = couple_stress(k_axl, mat)
-    m_curl = couple_stress(k_curl, mat)
-    tau_axl = tn.anti(pf.mat_div(m_axl)) * 0.5
-    tau_curl = tn.sym(pf.mat_curl(m_curl))
-    return StressState(
-        material=mat,
-        u=u,
-        k_axl=k_axl,
-        k_curl=k_curl,
-        sigma=force_stress(u, mat),
-        m_axl=m_axl,
-        m_curl=m_curl,
-        tau_axl=tau_axl,
-        tau_curl=tau_curl,
-    )
+    """The stress state of u under mat; its fields are formed when first read."""
+    return StressState(mat, u)
 
 
 def equilibrium_residual(state, f=None, formulation="curl"):
