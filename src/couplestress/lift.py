@@ -221,16 +221,24 @@ def sixth_order_isotropic(alpha1, alpha2):
 # --- pairings -----------------------------------------------------------------
 
 
+def _weighted_pairing(ps, qs, weights):
+    """Poly3.zero() + p0*q0*w0 + p1*q1*w1 + ..., as that chain forms it."""
+    acc = pf.Poly3.zero()
+    return acc + pf.Poly3.dot(ps, qs, weights) if len(ps) else acc
+
+
 def row_pairing(k, blocks):
     """sum_i <L^i k_i, k_i> as an exact polynomial, rows of k as vectors."""
-    acc = pf.Poly3.zero()
+    ps, qs, weights = [], [], []
     for i in range(3):
         Li = blocks[i]
         for j in range(3):
             for l in range(3):
                 if Li[j, l]:
-                    acc = acc + k[i, j] * k[i, l] * float(Li[j, l])
-    return acc
+                    ps.append(k[i, j])
+                    qs.append(k[i, l])
+                    weights.append(float(Li[j, l]))
+    return _weighted_pairing(ps, qs, weights)
 
 
 def matrix_pairing(k, alpha1, alpha2):
@@ -248,11 +256,8 @@ def matrix_pairing(k, alpha1, alpha2):
 def second_gradient_pairing(u, C):
     """<C T, T> for T the flattened second gradient of u."""
     T = second_gradient_flat(u)
-    acc = pf.Poly3.zero()
     rows, cols = np.nonzero(C)
-    for r, c in zip(rows, cols):
-        acc = acc + T[r] * T[c] * float(C[r, c])
-    return acc
+    return _weighted_pairing(T[rows], T[cols], C[rows, cols].tolist())
 
 
 def verify_energy_equality(u, alpha1, alpha2, C=None):

@@ -29,20 +29,41 @@ truncation: no coefficient is ever dropped.
 Arithmetic results skip the construction checks, which cannot fire on them
 (negation, scaling, diff and restrict keep the cap and never raise the
 degree); they only drop exact zeros. A product of at least
-MUL_BINCOUNT_PAIRS term pairs is summed by one np.bincount, which adds in
-the order of the dict double loop, so both paths give the same coefficients
-in the same key order.
+MUL_BINCOUNT_PAIRS term pairs runs from a plan: the structure that depends
+only on the two key orders (which term pairs share an exponent sum, and the
+order in which the sums first occur) is cached per pair of key orders, so
+the product is one outer product of the values and one np.bincount, which
+adds in the order of the dict double loop. Both paths give the same
+coefficients in the same key order. The numpy steps give overflow, inf * 0
+and NaN silently, as the loop does.
+
+`ScalarField.dot` is the sum of products p0*q0 + p1*q1 + ... (optionally
+weighted), formed left to right; `tensors.inner`, `inner_vec` and
+`ten3_inner` and the `lift` pairings call it on scalar fields. Poly3 fuses
+it once the products hold DOT_FUSED_PAIRS term pairs in all: one bincount
+over every product's plan, then one sequential cumulative sum per key in
+the chain's key order, bitwise the chain's result. Where the chain drops a
+key (a running sum that cancels to 0.0, or a zero product coefficient that
+would start the key) the key may come back at the end of the chain's order,
+so those sums run the chain itself, as do smaller ones. Each kind of plan
+is cached up to PLAN_PAIRS term pairs in all; a full cache starts over.
 """
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
+import operator
 
 import numpy as np
 
 from . import tensors as tn
 
 DEFAULT_CAP = 8
-MUL_BINCOUNT_PAIRS = 200  # term pairs from which a product is summed by bincount
+MUL_BINCOUNT_PAIRS = 32  # term pairs from which a product is summed by its plan
+DOT_FUSED_PAIRS = 64  # total term pairs from which a Poly3 dot is fused
+PLAN_PAIRS = 1 << 20  # term pairs held by each plan cache (8 bytes a pair)
+DOT_CHUNK_PAIRS = 8192  # term pairs a fused dot multiplies at once
 
 _AXES = {0: 0, 1: 1, 2: 2, "x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
 
@@ -129,6 +150,16 @@ class ScalarField:
         if isinstance(other, _REALS):
             return self * (1.0 / float(other))
         return NotImplemented
+
+    @classmethod
+    def dot(cls, ps, qs, weights=None):
+        """Sum of p_m * q_m (times w_m), formed left to right by the chain
+        p0*q0 + p1*q1 + ... (each term p*q*w); at least one term."""
+        if weights is None:
+            terms = map(operator.mul, ps, qs)
+        else:
+            terms = (p * q * w for p, q, w in zip(ps, qs, weights))
+        return functools.reduce(operator.add, terms)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -251,8 +282,9 @@ class Poly3(ScalarField):
 
     def _product(self, other):
         cap = self.cap + other.cap
-        if len(self.coef) * len(other.coef) >= MUL_BINCOUNT_PAIRS:
-            return _made(_bincount_product(self.coef, other.coef), cap)
+        pairs = len(self.coef) * len(other.coef)
+        if pairs and pairs >= MUL_BINCOUNT_PAIRS:
+            return _made(_plan_product(self.coef, other.coef), cap)
         coef = {}
         get = coef.get
         terms = other.coef.items()
@@ -261,6 +293,20 @@ class Poly3(ScalarField):
                 key = (a + d, b + e, c + f)
                 coef[key] = get(key, 0.0) + u * v
         return _made(coef, cap)
+
+    @classmethod
+    def dot(cls, ps, qs, weights=None):
+        """The chain's sum of products, by one fused bincount of at least
+        DOT_FUSED_PAIRS term pairs; smaller sums, mixed entry types and the
+        sums in which the chain drops a key run the chain itself."""
+        ps, qs = list(ps), list(qs)
+        if all(type(v) is Poly3 for v in itertools.chain(ps, qs)):
+            pairs = sum(len(p.coef) * len(q.coef) for p, q in zip(ps, qs))
+            coef = (_fused_dot(ps, qs, weights, pairs)
+                    if pairs and pairs >= DOT_FUSED_PAIRS else None)
+            if coef is not None:
+                return _made(coef, max(p.cap + q.cap for p, q in zip(ps, qs)))
+        return super().dot(ps, qs, weights)
 
     # --- calculus -------------------------------------------------------
 
@@ -317,32 +363,163 @@ def _made(coef, cap):
     return p
 
 
-def _bincount_product(pc, qc):
-    """Coefficients of a product, as the dict double loop over pc, qc forms them.
+# --- product plans ---------------------------------------------------------
+#
+# The structure of a product depends only on the key orders of its operands:
+# which term pairs share an exponent sum, and in which order the sums first
+# occur in the dict double loop. A plan holds it once per pair of key orders,
+# so a product from a plan is one outer product of the values and one
+# bincount into the result keys.
 
-    Each term pair gets the code of its exponent sum. bincount adds the pair
-    products in the flattened (pc, qc) order, which is the loop's order, and
-    the codes are read back at the pairs where they first occur.
+
+class _PlanCache:
+    """Plans by key, holding PLAN_PAIRS term pairs at most: a cache that
+    would pass it starts over, and a larger plan is formed but not kept."""
+
+    def __init__(self):
+        self.plans = {}
+        self.pairs = 0  # term pairs of the plans held
+
+    def get(self, key, form, pairs):
+        """The plan of key, formed by form() on a miss; pairs is its size."""
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = form()
+            if pairs <= PLAN_PAIRS:
+                if self.pairs + pairs > PLAN_PAIRS:
+                    self.plans.clear()
+                    self.pairs = 0
+                self.plans[key] = plan
+                self.pairs += pairs
+        return plan
+
+
+_PLANS = _PlanCache()  # (p keys, q keys) -> product plan
+_DOT_PLANS = _PlanCache()  # ((p keys, q keys), ...) -> fused-dot plan
+
+
+def _form_plan(pk, qk):
+    """(bins, keys) of the product of terms with keys pk and qk.
+
+    Term pair (a, b) sits at a * len(qk) + b of the flattened outer product,
+    the dict double loop's order; bins[pair] is the rank of its exponent sum
+    among the sums in the order they first occur, and keys lists those sums.
     """
-    B = max(map(max, pc)) + max(map(max, qc)) + 1
+    B = max(map(max, pk)) + max(map(max, qk)) + 1
     BB = B * B
     codes = np.add.outer(
-        np.array([i * BB + j * B + k for i, j, k in pc]),
-        np.array([i * BB + j * B + k for i, j, k in qc]),
+        np.array([i * BB + j * B + k for i, j, k in pk]),
+        np.array([i * BB + j * B + k for i, j, k in qk]),
     ).ravel()
-    prods = np.multiply.outer(
-        np.fromiter(pc.values(), float, len(pc)),
-        np.fromiter(qc.values(), float, len(qc)),
-    ).ravel()
-    sums = np.bincount(codes, prods)
-    n = len(codes)
-    first = np.full(len(sums), n)
-    np.minimum.at(first, codes, np.arange(n))
-    leads = np.zeros(n, dtype=bool)
-    leads[first[first < n]] = True
-    order = codes[leads]
-    return {(c // BB, c // B % B, c % B): v
-            for c, v in zip(order.tolist(), sums[order].tolist())}
+    sums, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    keys = [(c // BB, c // B % B, c % B) for c in sums[order].tolist()]
+    return rank[inverse], keys
+
+
+def _plan(pk, qk):
+    return _PLANS.get((pk, qk), lambda: _form_plan(pk, qk), len(pk) * len(qk))
+
+
+def _plan_product(pc, qc):
+    """Coefficients of a product, as the dict double loop over pc, qc forms them.
+
+    bincount adds the pair products of each key in flattened (pc, qc) order,
+    which is the loop's order, starting from 0.0 as the loop does. Overflow
+    and inf * 0 give inf and NaN silently, as they do in the loop.
+    """
+    bins, keys = _plan(tuple(pc), tuple(qc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = np.multiply.outer(
+            np.fromiter(pc.values(), float, len(pc)),
+            np.fromiter(qc.values(), float, len(qc)),
+        ).ravel()
+        sums = np.bincount(bins, prods, len(keys))
+    return dict(zip(keys, sums.tolist()))
+
+
+_DotPlan = collections.namedtuple(
+    "_DotPlan", "reps qidx bins chunks wrep slots shape started keys p_terms q_terms")
+
+
+def _form_dot_plan(pairs):
+    """The `_DotPlan` of a fused sum of products over the key orders in pairs.
+
+    The term pairs of every product, in the dict loop's order, are each p
+    value repeated once per term of its q (reps) times the q values gathered
+    by qidx; bins sends each pair to its (product, key) coefficient, in
+    product order, and wrep each coefficient to its product's weight. The
+    chain adds the products' keys in the order they first occur, so key g of
+    product m lands at slot m * len(keys) + g of an (M, len(keys)) table.
+    A key's running sum is 0.0 before its first product; `started` counts the
+    slots from there on, where the chain keeps a nonzero sum. The products
+    run in chunks of whole products of about DOT_CHUNK_PAIRS pairs, each a
+    (p terms, pairs, coefficients) slice triple, with bins counted from the
+    chunk's first coefficient.
+    """
+    plans = [_plan(pk, qk) if pk and qk else (np.empty(0, np.intp), []) for pk, qk in pairs]
+    nq = sum(len(qk) for _, qk in pairs)
+    npairs = sum(len(b) for b, _ in plans)
+    # the per-pair indices, in the narrowest type that holds them
+    qidx = np.empty(npairs, np.min_scalar_type(nq))
+    bins = np.empty(npairs, np.min_scalar_type(sum(len(keys) for _, keys in plans)))
+    index, gids, chunks = {}, [], []
+    start = p0 = q0 = b0 = 0
+    lo = (0, 0, 0)  # p term, pair and coefficient where the open chunk starts
+    for (pk, qk), (b, keys) in zip(pairs, plans):
+        end = start + len(b)
+        if end - lo[1] > DOT_CHUNK_PAIRS and start > lo[1]:
+            chunks.append((slice(lo[0], p0), slice(lo[1], start), slice(lo[2], b0)))
+            lo = (p0, start, b0)
+        if end > start:
+            qidx[start:end].reshape(len(pk), len(qk))[:] = np.arange(q0, q0 + len(qk))
+            bins[start:end] = b + (b0 - lo[2])
+        gids.append([index.setdefault(key, len(index)) for key in keys])
+        start, p0, q0, b0 = end, p0 + len(pk), q0 + len(qk), b0 + len(keys)
+    chunks.append((slice(lo[0], p0), slice(lo[1], start), slice(lo[2], b0)))
+    M, K = len(pairs), len(index)
+    first = np.full(K, M)
+    for m in reversed(range(M)):
+        first[gids[m]] = m
+    slots = np.concatenate([m * K + np.asarray(g, dtype=np.intp) for m, g in enumerate(gids)])
+    reps = np.repeat([len(qk) for _, qk in pairs], [len(pk) for pk, _ in pairs])
+    wrep = np.repeat(np.arange(M), [len(keys) for _, keys in plans])
+    return _DotPlan(reps, qidx, bins, chunks, wrep, slots, (M, K), int(np.sum(M - first)),
+                    list(index), p0, q0)
+
+
+def _fused_dot(ps, qs, weights, npairs):
+    """Coefficients of sum_m p_m q_m (w_m) as the chain forms them; None where
+    the chain drops a key, which may move it to the end.
+
+    A zero (or underflowed) coefficient adds 0.0 to its key's running sum,
+    which changes nothing once the key has started; where it would start
+    the key, the running sum reads 0.0 there, and the count of nonzero
+    sums shows it.
+    """
+    pairs = tuple([(tuple(p.coef), tuple(q.coef)) for p, q in zip(ps, qs)])
+    reps, qidx, bins, chunks, wrep, slots, shape, started, keys, p_terms, q_terms = (
+        _DOT_PLANS.get(pairs, lambda: _form_dot_plan(pairs), npairs))
+    pv = np.fromiter(itertools.chain.from_iterable([p.coef.values() for p in ps]), float, p_terms)
+    qv = np.fromiter(itertools.chain.from_iterable([q.coef.values() for q in qs]), float, q_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.empty(len(wrep))
+        for p, s, b in chunks:
+            prods = pv[p].repeat(reps[p])
+            prods *= qv.take(qidx[s])
+            terms[b] = np.bincount(bins[s], prods, b.stop - b.start)
+        if weights is not None:
+            if not terms.all():  # the chain drops these before weighting (0 * inf is NaN)
+                return None
+            terms *= np.asarray(weights, dtype=float)[wrep]
+        table = np.zeros(shape[0] * shape[1])
+        table[slots] = terms
+        partial = np.cumsum(table.reshape(shape), axis=0)  # sequential down each key
+    if np.count_nonzero(partial) != started:
+        return None
+    return dict(zip(keys, partial[-1].tolist()))
 
 
 def integral_of_product(p, q):
@@ -884,8 +1061,9 @@ def second_gradient(u):
     out = np.empty((3, 3, 3), dtype=object)
     for k in range(3):
         for i in range(3):
+            d = u[k].diff(i)
             for j in range(3):
-                out[k, i, j] = u[k].diff(i).diff(j)
+                out[k, i, j] = d.diff(j)
     return out
 
 

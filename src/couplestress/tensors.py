@@ -134,19 +134,29 @@ def matvec(A, v):
     return out
 
 
-def inner(A, B):
-    """Frobenius inner product of two 3x3 arrays."""
-    acc = A[0, 0] * B[0, 0]
-    for i in range(3):
-        for j in range(3):
-            if i == 0 and j == 0:
-                continue
-            acc = acc + A[i, j] * B[i, j]
+def _sum_of_products(xs, ys):
+    """x0*y0 + x1*y1 + ..., left to right.
+
+    Scalar fields take their family's `dot`, which forms this same chain
+    (Poly3 fuses it); floats and batches run the chain here.
+    """
+    from .polyfield import ScalarField  # polyfield imports this module
+
+    if isinstance(xs[0], ScalarField):
+        return type(xs[0]).dot(xs, ys)
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
     return acc
 
 
+def inner(A, B):
+    """Frobenius inner product of two 3x3 arrays."""
+    return _sum_of_products(A.ravel(), B.ravel())
+
+
 def inner_vec(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return _sum_of_products(a[:3], b[:3])
 
 
 def norm_sq(A):
@@ -177,13 +187,4 @@ def eps_dot(v):
 
 def ten3_inner(A, B):
     """Full contraction of two third-order arrays."""
-    acc = A[0, 0, 0] * B[0, 0, 0]
-    first = True
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if first:
-                    first = False
-                    continue
-                acc = acc + A[i, j, k] * B[i, j, k]
-    return acc
+    return _sum_of_products(A.ravel(), B.ravel())
