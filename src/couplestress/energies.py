@@ -141,8 +141,9 @@ def five_form_densities(u, mat):
     s = mat.curvature_scale
     a1, a2 = mat.alpha1, mat.alpha2
     gc = pf.jac(pf.curl(u))
-    kt = rotation_gradient(u)
-    kh = strain_curl(u)
+    J = pf.jac(u)
+    kt = curvature_from_jacobian(J, "axl")
+    kh = curvature_from_jacobian(J, "curl")
     return {
         "gradcurl-sym": (
             tn.norm_sq(tn.sym(gc)) * (a1 / 4.0) + tn.norm_sq(tn.skw(gc)) * (a2 / 4.0)
@@ -231,14 +232,22 @@ def _eta_tilde(u):
 
 def _eta_sym(u):
     """Fully symmetric part eta^S[i,j,k] = (u_k,ij + u_i,jk + u_j,ki)/3."""
-    T = pf.second_gradient(u)
+    return _eta_sym_of(pf.second_gradient(u))
+
+
+def _eta_sym_of(T):
+    """`_eta_sym` from the second gradient T[k,i,j] = u_k,ij."""
     return (T.transpose(1, 2, 0) + T + T.transpose(2, 0, 1)) / 3.0
 
 
 def _mindlin_iii_curvature(u):
     """k[i,j] = (1/2) EPS[j,l,k] u_k,li, the form III rotation curvature."""
+    return _mindlin_iii_curvature_of(pf.second_gradient(u))
+
+
+def _mindlin_iii_curvature_of(T):
+    """`_mindlin_iii_curvature` from the second gradient T[k,i,j] = u_k,ij."""
     # T.transpose(2, 1, 0)[i, l, k] = u_k,li, contracted over (l, k) in that order
-    T = pf.second_gradient(u)
     return np.tensordot(T.transpose(2, 1, 0), (0.5 * tn.EPS).transpose(1, 2, 0), 2)
 
 
@@ -275,8 +284,9 @@ def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
 def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form III: rotation curvature plus fully symmetric part."""
     a1, a2, a3, a4, a5 = a
-    kc = _mindlin_iii_curvature(u)
-    es = _eta_sym(u)
+    T = pf.second_gradient(u)
+    kc = _mindlin_iii_curvature_of(T)
+    es = _eta_sym_of(T)
     v_iij = np.trace(es, axis1=0, axis2=1)
     v_kll = np.trace(es, axis1=1, axis2=2)
     t1 = tn.norm_sq(kc)

@@ -10,7 +10,7 @@ holds n fields of either scalar family as dense per-axis coefficient cubes
 read. A `DenseBatch` holds one component of a stack as a scalar: the field
 operators run on object arrays of batches unchanged and evaluate every
 field of the stack in one pass, with diff as an index gather with weights
-on one axis, read once per family and layout from the family's 1D
+on one axis, read once per family, layout and axis from the family's 1D
 derivative matrix. On a batch of `DerivativeSymbol` cubes the same
 operators give their own constant-coefficient symbols, from which
 `symbol_grams` forms weighted sums of the Grams of their images over a
@@ -627,11 +627,17 @@ class DenseBatch:
     object array of batches evaluates it on every field of the stack at
     once. The family's 1D derivative matrix has at most one nonzero per
     row, so diff gathers each output slot from its one source slot times
-    its weight (`_diff_gather`); sums, differences and float multiples act
-    on the whole array. The only product of two batches is by a batch that
-    is constant in space, which `tensors.identity_like` and `tensors.sph`
-    need; any other raises TypeError. There is no __len__, __getitem__ or __array__, so numpy
-    holds a batch as one object entry.
+    its weight, by index tuples and weights formed once per family, layout
+    and axis (`_diff_plan`); sums, differences and float multiples act on
+    the whole array. Results are made without __init__, as `_made` makes a
+    Poly3, so an operator chain on small batches costs little more than
+    its numpy steps. Each coefficient goes through the float operations of
+    the matching Poly3 dict entry, so a chain that multiplies no two
+    fields gives the dict path's coefficients bit for bit (a slot the dict
+    omits holds a zero). The only product of two batches is by a batch
+    that is constant in space, which `tensors.identity_like` and
+    `tensors.sph` need; any other raises TypeError. There is no __len__,
+    __getitem__ or __array__, so numpy holds a batch as one object entry.
     """
 
     __slots__ = ("coef", "family")
@@ -639,9 +645,6 @@ class DenseBatch:
     def __init__(self, coef, family):
         self.coef = coef
         self.family = family
-
-    def _like(self, coef):
-        return DenseBatch(coef, self.family)
 
     def _same(self, other):
         if not isinstance(other, DenseBatch):
@@ -658,24 +661,24 @@ class DenseBatch:
     def __add__(self, other):
         if not self._same(other):
             return NotImplemented
-        return self._like(self.coef + other.coef)
+        return _batch(self.coef + other.coef, self.family)
 
     def __sub__(self, other):
         if not self._same(other):
             return NotImplemented
-        return self._like(self.coef - other.coef)
+        return _batch(self.coef - other.coef, self.family)
 
     def __neg__(self):
-        return self._like(-self.coef)
+        return _batch(-self.coef, self.family)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self._like(self.coef * float(other))
+        if isinstance(other, _REALS):
+            return _batch(self.coef * float(other), self.family)
         if not self._same(other):
             return NotImplemented
         for const, field in ((other._constant(), self), (self._constant(), other)):
             if const is not None:
-                return self._like(field.coef * const[:, None, None, None])
+                return _batch(field.coef * const[:, None, None, None], self.family)
         raise TypeError("product of two batches that are not constant in space")
 
     __rmul__ = __mul__
@@ -685,7 +688,7 @@ class DenseBatch:
             raise TypeError("a batch has only the power 0")
         coef = np.zeros_like(self.coef)
         coef[:, 0, 0, 0] = 1.0  # index 0 is the constant in every family
-        return self._like(coef)
+        return _batch(coef, self.family)
 
     def diff(self, axis):
         """The family's R[out, in] as a gather: out takes its one source times its weight.
@@ -693,14 +696,14 @@ class DenseBatch:
         A nonzero source whose out lies past the layout raises ValueError;
         an out with no source is zero, so a NaN stays in its own slot.
         """
-        ax, D = _axis(axis), self.coef.shape[-1]
-        out, src, w, past = _diff_gather(self.family, D)
-        lead = (slice(None),) * (ax + 1)
-        if past is not None and np.any(self.coef[lead + (past,)]):
-            raise ValueError(f"a derivative leaves the {self.family.__name__} layout of size {D}")
-        coef = np.zeros_like(self.coef)
-        coef[lead + (out,)] = self.coef[lead + (src,)] * w.reshape((-1,) + (1,) * (2 - ax))
-        return self._like(coef)
+        coef = self.coef
+        out, src, w, past = _diff_plan(self.family, coef.shape[-1], _axis(axis))
+        if past is not None and coef[past].any():
+            raise ValueError(f"a derivative leaves the {self.family.__name__} layout "
+                             f"of size {coef.shape[-1]}")
+        res = np.zeros(coef.shape, coef.dtype)
+        res[out] = coef[src] * w
+        return _batch(res, self.family)
 
     def restrict(self, axis, value):
         """Substitute one variable by a constant: the trace moves to index 0."""
@@ -710,26 +713,36 @@ class DenseBatch:
         at = [slice(None)] * 4
         at[ax + 1] = 0
         coef[tuple(at)] = np.tensordot(self.coef, vals, (ax + 1, 0))
-        return self._like(coef)
+        return _batch(coef, self.family)
+
+
+def _batch(coef, family):
+    """DenseBatch holding an arithmetic result, made without __init__."""
+    b = object.__new__(DenseBatch)
+    b.coef = coef
+    b.family = family
+    return b
 
 
 @functools.cache
-def _diff_gather(family, D):
-    """out, src, w and past of the family's R[out, in] on layout D, formed once.
+def _diff_plan(family, D, ax):
+    """out, src, w and past of the family's R[out, in] on layout D, as indices into
+    a batch's coefficients on axis ax, formed once.
 
     Every family's derivative has at most one nonzero per row, so row out
-    of R reads the one source src with weight w. past holds the sources
-    whose row lies past the layout (None if there are none); index runs
-    with one step are slices.
+    of R reads the one source src with weight w, shaped to broadcast over
+    the axes after ax. past indexes the sources whose row lies past the
+    layout (None if there are none); index runs with one step are slices.
     """
     R = family.dense_diff(D)
     out, src = np.nonzero(R)
     if len(np.unique(out)) != len(out):
         raise ValueError(f"the {family.__name__} derivative has a row with two sources")
-    w = R[out, src]
     inside = out < D
-    past = None if inside.all() else _as_slice(src[~inside])
-    return _as_slice(out[inside]), _as_slice(src[inside]), w[inside], past
+    lead = (slice(None),) * (ax + 1)
+    w = R[out, src][inside].reshape((-1,) + (1,) * (2 - ax))
+    past = None if inside.all() else lead + (_as_slice(src[~inside]),)
+    return lead + (_as_slice(out[inside]),), lead + (_as_slice(src[inside]),), w, past
 
 
 def _as_slice(idx):
@@ -1149,16 +1162,27 @@ def max_abs_coeff_ten3(T):
 # --- random fields -------------------------------------------------------
 
 
+@functools.cache
+def simplex_keys(degree):
+    """The exponents (i, j, k) of total degree at most degree, i slowest and k fastest:
+    the order in which `random_poly` draws its coefficients."""
+    return tuple((i, j, k)
+                 for i in range(degree + 1)
+                 for j in range(degree + 1 - i)
+                 for k in range(degree + 1 - i - j))
+
+
 def random_poly(rng, degree, cap=None, scale=1.0):
-    """Dense random polynomial with uniform(-scale, scale) coefficients."""
+    """Dense random polynomial with uniform(-scale, scale) coefficients.
+
+    The coefficients come from one draw of len(simplex_keys(degree))
+    values, which gives the values and generator state of one scalar draw
+    per key in that order.
+    """
     if cap is None:
         cap = max(DEFAULT_CAP, degree)
-    coef = {}
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            for k in range(degree + 1 - i - j):
-                coef[(i, j, k)] = rng.uniform(-scale, scale)
-    return Poly3(coef, cap)
+    keys = simplex_keys(degree)
+    return Poly3(dict(zip(keys, rng.uniform(-scale, scale, len(keys)).tolist())), cap)
 
 
 def random_vec_field(rng, degree, cap=None, scale=1.0):
