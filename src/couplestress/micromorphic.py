@@ -20,13 +20,14 @@ model. The companion span therefore contains the constraint images of the
 displacement basis in addition to matrix-shaped bubbles: that makes the
 constrained minimizer admissible at every penalty, so the constrained
 energy is a true upper bound and the penalized energies increase toward it.
+Dense linear algebra (`scipy.linalg`, for the companion Gram's eigenvectors)
+is imported on first use, so the exact-calculus commands start without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import polyfield as pf
 from . import tensors as tn
@@ -260,6 +261,8 @@ def companion_basis(model, u_basis: Basis):
     is one `polyfield.FieldStack`: one contraction of the scaled
     eigenvectors with the candidate cubes.
     """
+    import scipy.linalg
+
     gens = _GENS[companion_class(model)]
     U = u_basis.fields
     D = U.cubes.shape[-1]

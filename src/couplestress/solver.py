@@ -23,6 +23,9 @@ displacements and the companion spans. The manufactured load runs the
 stresses on u_star as a one-field batch and reads only the curl route,
 so it forms one Jacobian and no axl field, and one double force per
 axis. Every linear system goes through one dense solve, `refined_solve`.
+Dense linear algebra (`scipy.linalg`) is imported on first use, in
+`refined_solve` and `coercivity_estimate`, so the exact-calculus commands
+start without it.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import polyfield as pf
 from . import tensors as tn
@@ -256,6 +258,8 @@ def refined_solve(K, b):
     smallest eigenvalue of K. LU rather than Cholesky, so that a numerically
     indefinite K is reported through its eigenvalue instead of raising.
     """
+    import scipy.linalg
+
     lu = scipy.linalg.lu_factor(K)
     c = scipy.linalg.lu_solve(lu, b)
     Kl = np.asarray(K, dtype=np.longdouble)
@@ -299,6 +303,8 @@ def coercivity_estimate(mat, orders=(1, 2, 3)):
     Nonincreasing in the order (nested spans) and bounded away from zero;
     an empirical floor for the coercivity constant of the bilinear form.
     """
+    import scipy.linalg
+
     out = []
     for order in orders:
         asm = assemble(bubble_basis(order), mat)
