@@ -13,8 +13,15 @@ spacings on a leading axis. Extended precision keeps the roundoff of a
 second difference, about eps * |u| / h^2, below the exact-match floor at
 the finest default h. Where np.longdouble is plain double it is not, and a
 check that is exact in exact arithmetic fails; each report records the
-eps of the stencil arithmetic. fd_partial and fd_second_partial are the
-one-axis float64 stencils of a scalar callable.
+eps of the stencil arithmetic. The stencil points share coordinates (the
+1539 points of the second differences have 19 distinct z and 193 distinct
+(y, z) pairs), and `polyfield.eval_fields` contracts the field's cubes over
+the distinct ones only. fd_partial and fd_second_partial are the one-axis
+float64 stencils of a scalar callable.
+
+check_operator and run_suite refuse spacings that cannot give an observed
+order, before any evaluation. The order is the closed-form least-squares
+slope of log error against log h.
 """
 from __future__ import annotations
 
@@ -160,12 +167,31 @@ class OrderReport:
         }
 
 
+def _check_spacings(hs):
+    """ValueError unless hs holds at least two distinct spacings, all finite and positive."""
+    h = np.ravel(np.asarray(hs, dtype=float))
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise ValueError(f"stencil spacings must be finite and positive, got {h.tolist()}")
+    if len(set(h.tolist())) < 2:
+        raise ValueError(
+            f"an observed order needs at least two distinct spacings, got {h.tolist()}")
+
+
 def _observed_order(errors, hs):
-    errors = np.asarray(errors)
+    """Least-squares slope of log error against log h, and whether all errors are below 1e-13.
+
+    The slope is the closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
+    An error above the floor that is zero or not finite has no logarithm:
+    the order is then NaN, so the check fails.
+    """
+    errors = np.asarray(errors, dtype=float)
     if np.max(errors) < 1e-13:
         return float("inf"), True
-    slope = np.polyfit(np.log(np.asarray(hs)), np.log(errors), 1)[0]
-    return float(slope), False
+    if not np.all(np.isfinite(errors) & (errors > 0)):
+        return float("nan"), False
+    x, y = np.log(np.asarray(hs, dtype=float)), np.log(errors)
+    x = x - x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x)), False
 
 
 def _strain(u):
@@ -190,7 +216,12 @@ def operator_names():
 
 
 def check_operator(name, u, hs=DEFAULT_H, pts=None, min_order=1.9):
-    """Compare one exact operator with its finite-difference counterpart."""
+    """Compare one exact operator with its finite-difference counterpart.
+
+    ValueError, before any evaluation, unless hs holds at least two
+    distinct spacings, all finite and positive.
+    """
+    _check_spacings(hs)
     if pts is None:
         pts = BASE_LATTICE
     field_of, exact_op, fd_fn = _OPERATORS[name]
@@ -204,7 +235,8 @@ def check_operator(name, u, hs=DEFAULT_H, pts=None, min_order=1.9):
 
 
 def run_suite(seed=0, trials=10, degree=5, hs=DEFAULT_H, min_order=1.9):
-    """Order check of every registered operator on random fields."""
+    """Order check of every registered operator on random fields; hs as in `check_operator`."""
+    _check_spacings(hs)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):

@@ -19,7 +19,10 @@ basis of separable scalars without forming the images.
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
 `ScalarField`, which holds their sums, differences, negation, float
-multiples and powers; `eval_fields` evaluates fields of either family.
+multiples and powers; `eval_fields` evaluates fields of either family,
+contracting their cubes one axis at a time over the distinct coordinates of
+the points (sum factorization), so that points that share coordinates share
+the work.
 
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
@@ -543,11 +546,9 @@ def integral_of_product(p, q):
 
 
 def dense_degree(polys):
-    deg = 0
-    for p in polys:
-        for i, j, k in p.coef:
-            deg = max(deg, i, j, k)
-    return deg
+    """The largest per-axis index of any key of polys; 0 for none."""
+    chain = itertools.chain.from_iterable
+    return max(chain(chain(p.coef for p in polys)), default=0)
 
 
 def _dense_family(polys):
@@ -911,7 +912,7 @@ class FieldStack:
         """
         if isinstance(fields, cls):
             return fields
-        flat = [np.ravel(F) for F in fields]
+        flat = [np.ravel(F).tolist() for F in fields]
         scalars = [p for row in flat for p in row]
         family = _dense_family(scalars)
         if X is None:
@@ -1094,19 +1095,25 @@ def strain_gradient(u):
 # --- evaluation and integration helpers ---------------------------------
 
 
-EVAL_BLOCK = 256  # points evaluated at once by eval_fields
+EVAL_BLOCK = 256  # (y, z) pairs eval_fields contracts at once, with at most D times as many points
 
 
 def eval_fields(F, pts):
     """Values of an array of scalars of one family (or one scalar) at (..., 3) points.
 
-    The entries are stacked on one dense layout by `FieldStack.of`, and
+    The n entries are stacked on one dense layout by `FieldStack.of`, and
     with the family's per-axis value tables V_a[p, i] (x_a^i for Poly3, the
     sine and cosine factors for TrigPoly, from `dense_values`) the values
-    are the contraction
-    sum_ijk F[..., i, j, k] V_0[p, i] V_1[p, j] V_2[p, k], taken over (j, k)
-    through one table of V_1 V_2 and then over i, for EVAL_BLOCK points at
-    a time so that the tables stay small. The result has shape
+    are the contraction sum_ijk F[n, i, j, k] V_0[p, i] V_1[p, j] V_2[p, k],
+    sum-factorized over the distinct coordinates of the points: with the
+    points sorted by (z, y), k is contracted once per distinct z, then j
+    once per distinct (y, z) pair, then i once per point. Stencil points
+    share coordinates, so the cubes are read far fewer times than there are
+    points. Each value is the same three sums of D products whatever the
+    other points are. The sorted points are taken in blocks of at most
+    EVAL_BLOCK pairs and D * EVAL_BLOCK points, so that no contraction
+    table holds more than EVAL_BLOCK (n, D, D) slices; beside them each
+    point keeps one row of D values and a few indices. The result has shape
     pts.shape[:-1] + F.shape, and its dtype is that of the points (float64
     for integer or lower-precision points), so np.longdouble points
     evaluate in extended precision.
@@ -1116,16 +1123,35 @@ def eval_fields(F, pts):
     if not issubclass(family, ScalarField):
         raise TypeError(f"eval_fields evaluates scalar fields, got {family.__name__}")
     pts = np.asarray(pts)
-    p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float))
-    X = FieldStack.of([F]).cubes.astype(p.dtype)
+    p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float), copy=False)
+    n, P = F.size, len(p)
+    X = FieldStack.of([F]).cubes.astype(p.dtype, copy=False)
     D = X.shape[-1]
-    X = X.reshape(F.size, D, D * D)
-    out = np.empty((len(p), F.size), dtype=p.dtype)
-    for a in range(0, len(p), EVAL_BLOCK):
-        V = family.dense_values(D, p[a:a + EVAL_BLOCK])
-        W = np.einsum("pj,pk->pjk", V[:, 1], V[:, 2]).reshape(len(V), D * D)
-        T = np.einsum("pa,nia->pni", W, X)
-        out[a:a + EVAL_BLOCK] = np.einsum("pni,pi->pn", T, V[:, 0])
+    X = X.reshape(n * D * D, D)
+    order = np.lexsort((p[:, 1], p[:, 2]))
+    p = p.take(order, axis=0)  # by z, then y
+    new = np.empty((P, 2), dtype=bool)  # the point starts a new (y, z) pair, a new z
+    new[:1] = True
+    np.not_equal(p[1:, 1:], p[:-1, 1:], out=new[1:])
+    new[:, 0] |= new[:, 1]
+    first = new[:, 0].nonzero()[0]  # the first point of each pair
+    ids = np.add.accumulate(new, axis=0, dtype=np.intp) - 1
+    pair, z_of = ids[:, 0], ids[:, 1].take(first)  # the pair of each point, the z of each pair
+    Q = len(first)
+    V = family.dense_values(D, np.concatenate(
+        (p[:, 0], p[:, 1].take(first), p[:, 2].compress(new[:, 1]))))
+    Vx, Vy, Vz = V[:P], V[P:P + Q], V[P + Q:]
+    out = np.empty((P, n), dtype=p.dtype)
+    a = 0
+    while a < P:
+        q0 = pair[a]
+        e = min(a + D * EVAL_BLOCK, first[q0 + EVAL_BLOCK] if q0 + EVAL_BLOCK < Q else P)
+        q1, z0 = pair[e - 1] + 1, z_of[q0]
+        T = np.einsum("zk,mk->zm", Vz[z0:z_of[q1 - 1] + 1], X).reshape(-1, n * D, D)
+        T = np.einsum("qmj,qj->qm", T.take(z_of[q0:q1] - z0, axis=0), Vy[q0:q1])
+        T = T.reshape(-1, n, D).take(pair[a:e] - q0, axis=0)
+        out[order[a:e]] = np.einsum("pni,pi->pn", T, Vx[a:e])
+        a = e
     return out.reshape(pts.shape[:-1] + F.shape)
 
 
