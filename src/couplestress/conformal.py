@@ -132,8 +132,12 @@ def elastic_density_identity_gap(phi, mat):
 
 
 def classify_density(dens, tol=1e-12):
-    """'invariant' if identically zero, 'constant' if degree <= 0, else 'sensitive'."""
-    if dens.max_abs_coeff() <= tol:
+    """'invariant' if identically zero, 'constant' if degree <= 0, else 'sensitive';
+    'non-finite', which no classification accepts, if a coefficient is inf or NaN."""
+    peak = dens.max_abs_coeff()
+    if not np.isfinite(peak):
+        return "non-finite"
+    if peak <= tol:
         return "invariant"
     reduced = pf.Poly3(
         {k: v for k, v in dens.coef.items() if abs(v) > tol}, cap=dens.cap

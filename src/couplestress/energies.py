@@ -1,4 +1,12 @@
-"""Curvature energy densities for second-gradient and couple stress models.
+"""The couple stress law, stated once, and the curvature energies of its relatives.
+
+The law is mu |sym grad u|^2 + (lam/2) tr(grad u)^2 + mu ell^2 (alpha1
+|dev sym k|^2 + alpha2 |skw k|^2): the weighted parts (key, projection)
+`ELASTIC_PARTS` of grad u and `CURVATURE_PARTS` of the curvature k. Its one
+conjugate rule sums w part(X), the trace part giving w tr(X) Id: with the
+weights (2 mu, lam) it is the symmetric force stress, with 2 mu ell^2
+(alpha1, alpha2) the couple stress of either traction bookkeeping. Stresses,
+stiffness, relaxations and the sixth-order lift read these.
 
 Every density here maps an exact polynomial displacement field to an exact
 polynomial energy density, so equalities between model families can be
@@ -13,7 +21,9 @@ makes the five classical writings of the couple stress density coincide.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -67,6 +77,42 @@ class Material:
         return replace(self, alpha1=alpha1, alpha2=alpha2)
 
 
+# --- the law: weighted parts and their conjugate ------------------------------
+
+ELASTIC_PARTS = (("mu", tn.sym), ("lam", tn.trace))
+CURVATURE_PARTS = (("alpha1", tn.devsym), ("alpha2", tn.skw))
+
+
+def constants(c, parts):
+    """The constant of c that each part's key names, in the order of parts."""
+    return [getattr(c, key) for key, _ in parts]
+
+
+def elastic_weights(c):
+    """The weights of ELASTIC_PARTS: (mu, lam/2) in the density, (2 mu, lam) in the stress."""
+    return (c.mu, c.lam / 2.0), (2.0 * c.mu, c.lam)
+
+
+def curvature_weights(c, parts=CURVATURE_PARTS):
+    """The weights 2 mu ell^2 w of curvature parts in the couple stress, w their constants."""
+    return [2.0 * w * c.curvature_scale for w in constants(c, parts)]
+
+
+def quadratic(X, weights, parts):
+    """sum of w |part(X)|^2 from the first term; the trace part gives w tr(X)^2."""
+    vals = [part(X) for _, part in parts]
+    return reduce(operator.add, [(tn.norm_sq(v) if isinstance(v, np.ndarray) else v * v) * w
+                                 for v, w in zip(vals, weights)])
+
+
+def conjugate(X, weights, parts):
+    """The conjugate rule: sum of w part(X) from the first term; the trace part gives
+    w tr(X) Id."""
+    vals = [part(X) for _, part in parts]
+    return reduce(operator.add, [(v if isinstance(v, np.ndarray) else tn.identity_like(X) * v) * w
+                                 for v, w in zip(vals, weights)])
+
+
 # --- curvature measures --------------------------------------------------
 
 
@@ -97,9 +143,7 @@ def strain_curl(u):
 
 def linear_elastic_density(u, mat):
     """mu |sym grad u|^2 + (lam/2) tr(grad u)^2."""
-    J = pf.jac(u)
-    t = tn.trace(J)
-    return tn.norm_sq(tn.sym(J)) * mat.mu + t * t * (mat.lam / 2.0)
+    return quadratic(pf.jac(u), elastic_weights(mat)[0], ELASTIC_PARTS)
 
 
 def linear_elastic_density_volumetric(u, mat):
@@ -112,14 +156,9 @@ def linear_elastic_density_volumetric(u, mat):
 # --- couple stress curvature densities ------------------------------------
 
 
-def curvature_quadratic(k, mat, w_dev=None, w_skw=None):
-    """mu ell^2 [ w_dev |dev sym k|^2 + w_skw |skw k|^2 ] for a matrix field k."""
-    if w_dev is None:
-        w_dev = mat.alpha1
-    if w_skw is None:
-        w_skw = mat.alpha2
-    dens = tn.norm_sq(tn.devsym(k)) * w_dev + tn.norm_sq(tn.skw(k)) * w_skw
-    return dens * mat.curvature_scale
+def curvature_quadratic(k, mat):
+    """mu ell^2 [ alpha1 |dev sym k|^2 + alpha2 |skw k|^2 ] for a matrix field k."""
+    return quadratic(k, constants(mat, CURVATURE_PARTS), CURVATURE_PARTS) * mat.curvature_scale
 
 
 def indeterminate_density(u, mat):

@@ -11,6 +11,11 @@ The curvature energy acts row by row on k = Curl(sym grad u) through 3x3
 blocks L^i; pulled back through the reconstruction it becomes a sixth
 order form C on second gradients with <C T, T> equal to the row-wise
 curvature pairing for every displacement field.
+
+The law comes from `energies`: the fourth-order tensor and the full-matrix
+pairing are its curvature parts under the weights (2 a1, 2 a2). Every
+matrix here is formed from unit inputs by the map it represents: the
+index maps above, the law, and `tensors.axl`, `anti` and `skw`.
 """
 from __future__ import annotations
 
@@ -18,11 +23,24 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import strain_curl
+from .energies import CURVATURE_PARTS, conjugate, quadratic, strain_curl
 
 
 def flat_index(a, b, c):
     return 9 * a + 3 * b + c
+
+
+def _matrix(f, shape):
+    """The matrix of the linear map f on arrays of this shape: column m is the
+    raveled image of the m-th unit input (raveled in the same order)."""
+    n = int(np.prod(shape))
+    return np.stack([np.ravel(f(e.reshape(shape))) for e in np.eye(n)], axis=1)
+
+
+def _slot_matrix(f):
+    """`_matrix` of a map f of third-order tensors that acts on the last three
+    axes of a stack of them, from one call on the stack of all 27 unit tensors."""
+    return np.ascontiguousarray(f(np.eye(27).reshape(27, 3, 3, 3)).reshape(27, 27).T)
 
 
 # --- maps between strain gradients and second gradients ----------------------
@@ -42,39 +60,19 @@ def reconstruction_matrix(signs="corrected"):
         s2 = -1.0
     else:
         raise ValueError("signs must be 'corrected' or 'printed'")
-    A = np.zeros((27, 27))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                row = flat_index(k, i, j)
-                A[row, flat_index(i, k, j)] += 1.0
-                A[row, flat_index(j, k, i)] += s2
-                A[row, flat_index(i, j, k)] -= 1.0
-    return A
+    # T[k, i, j] = E[i, k, j] + s2 E[j, k, i] - E[i, j, k]
+    return _slot_matrix(lambda E: np.swapaxes(E, -3, -2) + s2 * np.moveaxis(E, -3, -1)
+                        - np.moveaxis(E, -1, -3))
 
 
 def halfsym_matrix():
     """27x27 map from second gradients to strain gradients."""
-    H = np.zeros((27, 27))
-    for i in range(3):
-        for k in range(3):
-            for l in range(3):
-                row = flat_index(i, k, l)
-                H[row, flat_index(i, k, l)] += 0.5
-                H[row, flat_index(k, i, l)] += 0.5
-    return H
+    return _slot_matrix(lambda T: 0.5 * (T + np.swapaxes(T, -3, -2)))
 
 
 def last_two_symmetrizer():
     """Projection of T onto tensors symmetric in the last two slots."""
-    P = np.zeros((27, 27))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                row = flat_index(k, i, j)
-                P[row, flat_index(k, i, j)] += 0.5
-                P[row, flat_index(k, j, i)] += 0.5
-    return P
+    return _slot_matrix(lambda T: 0.5 * (T + np.swapaxes(T, -2, -1)))
 
 
 def first_two_symmetrizer():
@@ -90,12 +88,7 @@ def first_two_symmetrizer():
 
 def flatten_field(T):
     """Flatten a 3x3x3 object array of polynomials to a length-27 list."""
-    out = np.empty(27, dtype=object)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                out[flat_index(a, b, c)] = T[a, b, c]
-    return out
+    return np.array(T, dtype=object).reshape(27)
 
 
 def strain_gradient_flat(u):
@@ -131,17 +124,8 @@ def roundtrip_gap(u, signs="corrected"):
 
 def isotropic_fourth_order(alpha1, alpha2):
     """L4[i,j,k,l] of 2 a1 P_devsym + 2 a2 P_skw acting on 3x3 matrices."""
-    L4 = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    symp = 0.5 * ((i == k) * (j == l) + (i == l) * (j == k)) - (
-                        (i == j) * (k == l)
-                    ) / 3.0
-                    skwp = 0.5 * ((i == k) * (j == l) - (i == l) * (j == k))
-                    L4[i, j, k, l] = 2.0 * alpha1 * symp + 2.0 * alpha2 * skwp
-    return L4
+    weights = (2.0 * alpha1, 2.0 * alpha2)
+    return _matrix(lambda E: conjugate(E, weights, CURVATURE_PARTS), (3, 3)).reshape(3, 3, 3, 3)
 
 
 def blocks_from_tensor(L4):
@@ -160,43 +144,15 @@ def isotropic_blocks(alpha1, alpha2):
     return blocks
 
 
-def _axl_matrix():
-    S = np.zeros((3, 9))
-    S[0, 3 * 2 + 1] = 1.0
-    S[1, 3 * 0 + 2] = 1.0
-    S[2, 3 * 1 + 0] = 1.0
-    return S
-
-
-def _anti_matrix():
-    S = np.zeros((9, 3))
-    S[3 * 0 + 1, 2] = -1.0
-    S[3 * 0 + 2, 1] = 1.0
-    S[3 * 1 + 0, 2] = 1.0
-    S[3 * 1 + 2, 0] = -1.0
-    S[3 * 2 + 0, 1] = -1.0
-    S[3 * 2 + 1, 0] = 1.0
-    return S
-
-
-def _skw_matrix():
-    S = np.zeros((9, 9))
-    for k in range(3):
-        for l in range(3):
-            S[3 * k + l, 3 * k + l] += 0.5
-            S[3 * k + l, 3 * l + k] -= 0.5
-    return S
-
-
 def block_lift(blocks):
     """27x27 block-diagonal curvature form on strain gradients.
 
     Slice i acts as 2 anti . L^i . axl . skw, so that the quadratic form
     equals sum_i <L^i curl(strain row i), curl(strain row i)>.
     """
-    Sa = _axl_matrix()
-    Sn = _anti_matrix()
-    Sk = _skw_matrix()
+    Sa = _matrix(tn.axl, (3, 3))
+    Sn = _matrix(tn.anti, (3,)) + 0.0  # tn.anti writes -v as -0.0; C keeps +0.0 entries
+    Sk = _matrix(tn.skw, (3, 3))
     B = np.zeros((27, 27))
     for i in range(3):
         Bi = 2.0 * Sk @ Sn @ blocks[i] @ Sa @ Sk
@@ -248,9 +204,7 @@ def matrix_pairing(k, alpha1, alpha2):
     generically by cross-row terms; reported as a diagnostic, never
     asserted equal.
     """
-    return tn.norm_sq(tn.devsym(k)) * (2.0 * alpha1) + tn.norm_sq(tn.skw(k)) * (
-        2.0 * alpha2
-    )
+    return quadratic(k, (2.0 * alpha1, 2.0 * alpha2), CURVATURE_PARTS)
 
 
 def second_gradient_pairing(u, C):

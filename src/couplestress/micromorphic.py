@@ -11,9 +11,10 @@ and measures curvature on the companion instead of on derivatives of u:
   sym-curl-p           full companion, curvature |sym Curl companion|^2 only
   degenerate-cosserat  skew companion, curvature on the skew part only
 
-All densities include the same local elastic base. sym-curl-p has unclear
-well-posedness and its solver hides behind an explicit experimental flag;
-degenerate-cosserat is an energy evaluator only.
+All densities include the elastic parts of the law in `energies`, and
+every function below that takes a model reads its row of `_MODELS`.
+sym-curl-p has unclear well-posedness and its solver hides behind an
+explicit experimental flag; degenerate-cosserat is an energy evaluator only.
 
 As the penalty grows the minimizers approach the constrained couple stress
 model. The companion span therefore contains the constraint images of the
@@ -31,22 +32,47 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import Material
+from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate, constants,
+                       curvature_weights, elastic_weights)
 from .solver import Basis, assemble as assemble_displacement
 from .solver import finite, load_vector, refined_solve, solve as solve_displacement
 
-MODEL_IDS = (
-    "cosserat",
-    "microstrain",
-    "micromorphic",
-    "relaxed",
-    "further-relaxed",
-    "sym-curl-p",
-    "degenerate-cosserat",
-)
 
-_EVALUATOR_ONLY = ("degenerate-cosserat",)
-_EXPERIMENTAL = ("sym-curl-p",)
+def _grad_axl(P):
+    return pf.jac(tn.axl(P))
+
+
+# Each relaxation, stated once: companion class (`_CLASSES`); coupling, the
+# constraint "image" of u or the "strain" sym(grad u) minus the companion;
+# the curvature measure k of the companion and its parts (key, projection),
+# each adding mu ell^2 w |part(k)|^2 to the density and its conjugate to the
+# hyperstress; the companion's shift when u gains a rigid rotation; and the
+# solver status "solve", "experimental" (opt-in) or "evaluator" (none).
+_MODELS = {
+    "cosserat": ("skew", "image", _grad_axl,
+                 (CURVATURE_PARTS[0], ("alpha2", tn.trace), CURVATURE_PARTS[1]),
+                 "same", "solve"),
+    "microstrain": ("sym", "image", pf.mat_curl, CURVATURE_PARTS, "none", "solve"),
+    "micromorphic": ("full", "image", lambda P: pf.mat_curl(tn.sym(P)), CURVATURE_PARTS, "same",
+                     "solve"),
+    "relaxed": ("full", "strain", pf.mat_curl, CURVATURE_PARTS + (("alpha3", tn.trace),),
+                "independent", "solve"),
+    "further-relaxed": ("full", "strain", pf.mat_curl, CURVATURE_PARTS, "independent",
+                        "solve"),
+    "sym-curl-p": ("full", "strain", pf.mat_curl, (("alpha1", tn.sym),), "independent",
+                   "experimental"),
+    "degenerate-cosserat": ("skew", "image", _grad_axl, CURVATURE_PARTS[1:], "same",
+                            "evaluator"),
+}
+MODEL_IDS = tuple(_MODELS)
+
+
+def _model(model):
+    """The row of `_MODELS` of one model."""
+    try:
+        return _MODELS[model]
+    except KeyError:
+        raise ValueError(f"unknown model {model!r}") from None
 
 
 class ExperimentalModelError(ValueError):
@@ -76,81 +102,34 @@ class MicromorphicParams:
 
 
 def companion_class(model):
-    if model in ("cosserat", "degenerate-cosserat"):
-        return "skew"
-    if model == "microstrain":
-        return "sym"
-    if model in ("micromorphic", "relaxed", "further-relaxed", "sym-curl-p"):
-        return "full"
-    raise ValueError(f"unknown model {model!r}")
+    return _model(model)[0]
 
 
 def _check_companion(model, P):
-    cls = companion_class(model)
-    if cls == "skew":
-        gap = pf.max_abs_coeff_mat(tn.sym(P))
-        if gap > 0.0:
-            raise ValueError(f"{model} companion must be skew, symmetric part {gap}")
-    elif cls == "sym":
-        gap = pf.max_abs_coeff_mat(tn.skw(P))
-        if gap > 0.0:
-            raise ValueError(f"{model} companion must be symmetric, skew part {gap}")
+    _, lacked, name, lacked_name, _ = _CLASSES[companion_class(model)]
+    gap = 0.0 if lacked is None else pf.max_abs_coeff_mat(lacked(P))
+    if gap > 0.0:
+        raise ValueError(f"{model} companion must be {name}, {lacked_name} part {gap}")
 
 
 # --- quadratic term lists -----------------------------------------------------
 
 
 def _coupling_op(model):
-    if model in ("relaxed", "further-relaxed", "sym-curl-p"):
+    if _model(model)[1] == "strain":
         return lambda u, P: tn.sym(pf.jac(u) - P)
     return lambda u, P: constrained_companion(model, u) - P
 
 
-def _grad_axl(P):
-    return pf.jac(tn.axl(P))
-
-
-def _curl_sym(P):
-    return pf.mat_curl(tn.sym(P))
-
-
-_DEV_SKW = (("alpha1", tn.devsym), ("alpha2", tn.skw))
-
-# Each model's curvature, stated once: the measure k of the companion and
-# its weighted parts. A part adds mu ell^2 w |part(k)|^2 to the density and
-# 2 mu ell^2 w part(k) to the hyperstress; tn.trace is the trace part, whose
-# hyperstress is 2 mu ell^2 w tr(k) Id.
-_CURVATURE = {
-    "cosserat": (_grad_axl, (("alpha1", tn.devsym), ("alpha2", tn.trace),
-                             ("alpha2", tn.skw))),
-    "degenerate-cosserat": (_grad_axl, (("alpha2", tn.skw),)),
-    "microstrain": (pf.mat_curl, _DEV_SKW),
-    "micromorphic": (_curl_sym, _DEV_SKW),
-    "relaxed": (pf.mat_curl, _DEV_SKW + (("alpha3", tn.trace),)),
-    "further-relaxed": (pf.mat_curl, _DEV_SKW),
-    "sym-curl-p": (pf.mat_curl, (("alpha1", tn.sym),)),
-}
-
-
-def _curvature(model):
-    """(measure of the companion, weighted parts) of the model."""
-    try:
-        return _CURVATURE[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}") from None
-
-
 def _term_list(model, params):
     """All quadratic terms (weight, op) of the model's density."""
-    terms = [
-        (params.mu, lambda u, P: tn.sym(pf.jac(u))),
-        (params.lam / 2.0, lambda u, P: tn.trace(pf.jac(u))),
-        (params.penalty, _coupling_op(model)),
-    ]
-    measure, parts = _curvature(model)
+    terms = [(w, lambda u, P, part=part: part(pf.jac(u)))
+             for w, (_, part) in zip(elastic_weights(params)[0], ELASTIC_PARTS)]
+    terms.append((params.penalty, _coupling_op(model)))
+    measure, parts = _model(model)[2:4]
     s = params.curvature_scale
-    for key, part in parts:
-        terms.append((s * getattr(params, key), lambda u, P, part=part: part(measure(P))))
+    for w, (_, part) in zip(constants(params, parts), parts):
+        terms.append((s * w, lambda u, P, part=part: part(measure(P))))
     return terms
 
 
@@ -166,28 +145,19 @@ def micromorphic_energy(u, P, model, params):
 
 def force_stress(u, P, model, params):
     """sigma per model; symmetric exactly for microstrain/relaxed families."""
-    J = pf.jac(u)
-    return (tn.sym(J) * (2.0 * params.mu) + _coupling_op(model)(u, P) * (2.0 * params.penalty)
-            + tn.identity_like(J) * (tn.trace(J) * params.lam))
+    elastic = conjugate(pf.jac(u), elastic_weights(params)[1], ELASTIC_PARTS)
+    return elastic + _coupling_op(model)(u, P) * (2.0 * params.penalty)
 
 
 def hyperstress(u, P, model, params):
     """Moment stress conjugate to the model's curvature measure k.
 
-    Each weighted part adds 2 mu ell^2 w part(k); the trace part adds
-    2 mu ell^2 w tr(k) Id.
+    The conjugate rule of `energies` on the model's curvature parts: each
+    adds 2 mu ell^2 w part(k), the trace part 2 mu ell^2 w tr(k) Id.
     """
     _check_companion(model, P)
-    measure, parts = _curvature(model)
-    k = measure(P)
-    out = k * 0.0
-    for key, part in parts:
-        w = 2.0 * params.curvature_scale * getattr(params, key)
-        val = part(k)
-        if not isinstance(val, np.ndarray):  # the trace part: tr(k) Id
-            val = tn.identity_like(k) * val
-        out = out + val * w
-    return out
+    measure, parts = _model(model)[2:4]
+    return conjugate(measure(P), curvature_weights(params, parts), parts)
 
 
 # --- invariances ----------------------------------------------------------------
@@ -195,11 +165,7 @@ def hyperstress(u, P, model, params):
 
 def invariance_shift_kind(model):
     """How the companion must move when u gains a rigid infinitesimal rotation."""
-    if model in ("cosserat", "micromorphic", "degenerate-cosserat"):
-        return "same"
-    if model == "microstrain":
-        return "none"
-    return "independent"
+    return _model(model)[4]
 
 
 def invariance_gap(u, P, model, params, rng):
@@ -223,25 +189,23 @@ def invariance_gap(u, P, model, params, rng):
 
 def constrained_companion(model, u):
     """Image of u under the constraint the penalty enforces."""
-    cls = companion_class(model)
-    J = pf.jac(u)
-    if cls == "skew":
-        return tn.skw(J)
-    if cls == "sym":
-        return tn.sym(J)
-    return J
+    return _CLASSES[companion_class(model)][0](pf.jac(u))
 
 
 # --- coupled Galerkin solver ------------------------------------------------
 
 
 _E = np.eye(3)
-# the matrix generators of each companion class, in candidate order
-_GENS = {
-    "skew": [tn.anti(_E[k]) for k in range(3)],
-    "sym": [np.outer(_E[i], _E[j]) + np.outer(_E[j], _E[i]) * (i != j)
-            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))],
-    "full": [np.outer(_E[i], _E[j]) for i in range(3) for j in range(3)],
+# Each companion class: the constraint image of J = grad u, the part that a
+# companion of the class lacks, the names of both parts, and the matrix
+# generators of the class in candidate order.
+_CLASSES = {
+    "skew": (tn.skw, tn.sym, "skew", "symmetric", [tn.anti(_E[k]) for k in range(3)]),
+    "sym": (tn.sym, tn.skw, "symmetric", "skew",
+            [np.outer(_E[i], _E[j]) + np.outer(_E[j], _E[i]) * (i != j)
+             for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]),
+    "full": (lambda J: J, None, None, None,
+             [np.outer(_E[i], _E[j]) for i in range(3) for j in range(3)]),
 }
 
 
@@ -263,7 +227,7 @@ def companion_basis(model, u_basis: Basis):
     """
     import scipy.linalg
 
-    gens = _GENS[companion_class(model)]
+    gens = _CLASSES[companion_class(model)][4]
     U = u_basis.fields
     D = U.cubes.shape[-1]
     S = U.cubes[::3, 0]  # the basis scalars: field 3 n + d is scalar n times e_d
@@ -308,9 +272,10 @@ def coupled_stiffness(model, params, grams):
 
 
 def _refuse_unsolvable(model, experimental):
-    if model in _EVALUATOR_ONLY:
+    status = _model(model)[5]
+    if status == "evaluator":
         raise ValueError(f"{model} is an energy evaluator only; no solver")
-    if model in _EXPERIMENTAL and not experimental:
+    if status == "experimental" and not experimental:
         raise ExperimentalModelError(
             f"{model} well-posedness is unclear; pass experimental=True to solve anyway"
         )

@@ -196,7 +196,11 @@ class Poly3(ScalarField):
         clean = {}
         if coef:
             for key, val in coef.items():
-                i, j, k = key
+                try:
+                    i, j, k = map(operator.index, key)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"monomial key {key!r} is not three integer exponents") from None
                 if i < 0 or j < 0 or k < 0:
                     raise ValueError(f"negative exponent in {key}")
                 v = float(val)
@@ -206,7 +210,7 @@ class Poly3(ScalarField):
                     raise DegreeCapError(
                         f"monomial {key} exceeds degree cap {cap}"
                     )
-                clean[(int(i), int(j), int(k))] = v
+                clean[(i, j, k)] = v
         self.coef = clean
         self.cap = int(cap)
 

@@ -12,11 +12,13 @@ s_n e_d with s_n a product of three factors. Every term of the stiffness
 is linear with constant coefficients, so `assemble` runs the unchanged
 operator code once per curvature route on `polyfield.unit_symbols()`,
 whose entries are derivative symbols, and forms K and G from those
-symbols, weighted by the material, and the 1D moments of the factors and
-their derivatives (`polyfield.symbol_grams`: two Grams, one tensordot per
-axis each). Since the symbols come from the same operator code as every
-other path, the curl-against-axl agreement of K still tests the identity
-between the two routes. The loads pair their fields with the factors in
+symbols and the 1D moments of the factors and their derivatives
+(`polyfield.symbol_grams`: two Grams, one tensordot per axis each). The
+terms of K are the parts of the law in `energies` under their stress
+weights, and those of G the terms of `functional_norm`. Since the symbols
+come from the same operator code as every other path, the
+curl-against-axl agreement of K still tests the identity between the two
+routes. The loads pair their fields with the factors in
 the same way, the face double force through the factors' derivatives at
 the face. The basis is also one `polyfield.FieldStack`, for
 displacements and the companion spans. The manufactured load runs the
@@ -37,7 +39,8 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import Material, curvature_from_jacobian, rotation_gradient, strain_curl
+from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, curvature_from_jacobian,
+                       curvature_weights, elastic_weights, rotation_gradient, strain_curl)
 from .stresses import assemble as assemble_stresses, equilibrium_residual
 from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
@@ -141,12 +144,9 @@ def assemble(basis, mat, formulation="curl"):
         raise ValueError(f"unknown formulation {formulation!r}")
     mat.validate_wellposed()
     curvature = strain_curl if formulation == "curl" else rotation_gradient
-    s = mat.curvature_scale
-    weights = [  # sym J, tr J, devsym k, skw k; then J and the norm's curvature
-        [2.0 * mat.mu, mat.lam, s * (2.0 * mat.alpha1), s * (2.0 * mat.alpha2), 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
-    ]
-    K, G = pf.symbol_grams(_term_symbols(curvature, strain_curl), weights,
+    stiffness = [*elastic_weights(mat)[1], *curvature_weights(mat)]
+    weights = [stiffness + [0.0, 0.0], [0.0] * len(stiffness) + [1.0, 1.0]]
+    K, G = pf.symbol_grams(_term_symbols(curvature), weights,
                            pf.factor_moments(basis.factors, basis.family))
     K = finite(0.5 * (K + K.T), "stiffness", mat)
     G = 0.5 * (G + G.T)
@@ -154,12 +154,19 @@ def assemble(basis, mat, formulation="curl"):
 
 
 @functools.cache
-def _term_symbols(curvature, norm_curvature):
-    """The terms of `assemble` on the unit symbols, formed once per pair of operators."""
+def _term_symbols(curvature):
+    """The terms of `assemble` on the unit symbols, formed once per curvature operator:
+    the parts of the law on J and k, then the norm terms."""
     U = pf.unit_symbols()
     J = pf.jac(U)
     k = curvature(U)
-    return (tn.sym(J), tn.trace(J), tn.devsym(k), tn.skw(k), J, norm_curvature(U))
+    return (*(part(J) for _, part in ELASTIC_PARTS), *(part(k) for _, part in CURVATURE_PARTS),
+            *_norm_terms(J))
+
+
+def _norm_terms(J):
+    """The terms of the solution-space norm from J = grad u: J and Curl sym J."""
+    return J, curvature_from_jacobian(J, "curl")
 
 
 def finite(A, what, constants):
@@ -289,7 +296,7 @@ def displacement(basis, coefficients):
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
     J = pf.jac(pf.batch_fields([u]))
-    row = [*np.ravel(J), *np.ravel(curvature_from_jacobian(J, "curl"))]
+    row = [p for t in _norm_terms(J) for p in np.ravel(t)]
     return float(np.sqrt(pf.batch_gram(row)[0, 0]))
 
 

@@ -1,5 +1,9 @@
 """Force stress and couple stress fields for both curvature routes.
 
+Both constitutive maps are the conjugate rule of `energies` on its weighted
+parts: the force stress on grad u with the weights (2 mu, lam), the couple
+stress on either curvature with the weights 2 mu ell^2 (alpha1, alpha2).
+
 The same displacement field feeds two bookkeeping schemes:
 
   * axl route: moment stress from the rotation gradient, with a skew
@@ -21,13 +25,13 @@ from functools import cached_property
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import Material, curvature_from_jacobian
+from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate,
+                       curvature_from_jacobian, curvature_weights, elastic_weights)
 
 
 def couple_stress(k, mat):
     """Constitutive map mu ell^2 (2 a1 dev sym k + 2 a2 skw k)."""
-    s = mat.curvature_scale
-    return tn.devsym(k) * (2.0 * mat.alpha1 * s) + tn.skw(k) * (2.0 * mat.alpha2 * s)
+    return conjugate(k, curvature_weights(mat), CURVATURE_PARTS)
 
 
 def force_stress(u, mat):
@@ -37,8 +41,7 @@ def force_stress(u, mat):
 
 def _force_stress(J, mat):
     """force_stress from J = grad u."""
-    iso = tn.identity_like(J) * (tn.trace(J) * mat.lam)
-    return tn.sym(J) * (2.0 * mat.mu) + iso
+    return conjugate(J, elastic_weights(mat)[1], ELASTIC_PARTS)
 
 
 class StressState:

@@ -295,6 +295,10 @@ def surface_divergence_residual(face: Face, v):
 
 
 def edge_conormal(face: Face, edge_axis: int, edge_value: float):
+    """Outward conormal of the face at its edge x[edge_axis] = edge_value in {0, 1}."""
+    if edge_axis not in face.tangential_axes or edge_value not in (0.0, 1.0):
+        raise ValueError(f"no edge of {face} at axis {edge_axis!r}, value {edge_value!r}: "
+                         f"the axis must be one of {face.tangential_axes}, the value 0 or 1")
     nu = np.zeros(3)
     nu[edge_axis] = 1.0 if edge_value == 1.0 else -1.0
     return nu
@@ -307,8 +311,6 @@ def edge_force(state, face: Face, edge_axis: int, edge_value: float,
     The physical edge force is the sum of this quantity over the two faces
     meeting at the edge.
     """
-    if edge_axis == face.axis:
-        raise ValueError("edge axis must be tangential to the face")
-    vec = tn.matvec(_route(state, face, formulation, orientation)[1],
-                    edge_conormal(face, edge_axis, edge_value))
+    nu = edge_conormal(face, edge_axis, edge_value)
+    vec = tn.matvec(_route(state, face, formulation, orientation)[1], nu)
     return pf.as_vec([face.restrict(p).restrict(edge_axis, edge_value) for p in vec])

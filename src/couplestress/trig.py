@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -34,6 +35,17 @@ def _index(kind, freq):
     if kind == SIN and freq == 0:
         return None
     return (-1.0 if kind == SIN and freq < 0 else 1.0), 2 * abs(freq) - kind
+
+
+def _factors(key):
+    """The three (kind, freq) factors of a term key as integers, or ValueError naming it."""
+    try:
+        factors = [(operator.index(kind), operator.index(freq)) for kind, freq in key]
+    except (TypeError, ValueError):
+        factors = []
+    if len(factors) != 3 or any(kind not in (COS, SIN) for kind, _ in factors):
+        raise ValueError(f"term key {key!r} is not three factors (kind 0 or 1, integer freq)")
+    return factors
 
 
 def _factor(i):
@@ -100,12 +112,15 @@ class TrigPoly(ScalarField):
     __slots__ = ()
 
     def __init__(self, coef=None):
-        """Terms keyed by factors ((kind, freq), ...), moved to their dense index."""
+        """Terms keyed by three factors ((kind, freq), ...), moved to their dense index.
+
+        kind is COS or SIN and freq an integer; any other key is a ValueError.
+        """
         clean = {}
         for key, val in (coef or {}).items():
             v, idx = float(val), []
-            for kind, freq in key:
-                at = _index(kind, int(freq))
+            for kind, freq in _factors(key):
+                at = _index(kind, freq)
                 if at is None:
                     break
                 v *= at[0]

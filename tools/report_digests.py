@@ -1,0 +1,72 @@
+"""Print a SHA-256 digest of every default CLI report, one line per report.
+
+Usage (from the root of a checkout):
+
+    python3 tools/report_digests.py [SEED ...]      # seeds default to 0 3
+
+Each of the seven subcommands runs at its defaults in a fresh process, with
+the package from the `src/` directory beside this script, once per seed;
+`lift-check` runs once more with the config {"export_operator": true}. The
+report goes to a temporary file (`--out`), and one line
+`command seed sha256` is printed per report. Two checkouts produce the same
+reports byte for byte exactly when the two outputs are equal, so a
+byte-identity criterion is one `diff` of two runs:
+
+    python3 tools/report_digests.py 0 3 > after.txt
+    (cd ../parent && python3 tools/report_digests.py 0 3) > before.txt
+    diff before.txt after.txt
+
+A run that writes no report (exit 2 or 3) prints `missing` and its exit
+code instead of the digest, and the script then exits 1.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+COMMANDS = ("verify-identities", "energy-table", "conformal-report", "traction-compare",
+            "solve", "limit-study", "lift-check")
+# (label, subcommand, config or None)
+RUNS = [(name, name, None) for name in COMMANDS] + [
+    ("lift-check+export_operator", "lift-check", {"export_operator": True})]
+
+
+def digest(command, seed, config, scratch):
+    """(sha256 of the report or None, exit code) of one fresh CLI run."""
+    out = Path(scratch) / "report"
+    out.unlink(missing_ok=True)
+    argv = [sys.executable, "-m", "couplestress.cli", command, "--seed", str(seed),
+            "--out", str(out)]
+    if config is not None:
+        cfg = Path(scratch) / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+    if not out.exists():
+        return None, code
+    return hashlib.sha256(out.read_bytes()).hexdigest(), code
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    seeds = [int(s) for s in args] or [0, 3]
+    ok = True
+    with tempfile.TemporaryDirectory() as scratch:
+        for seed in seeds:
+            for label, command, config in RUNS:
+                sha, code = digest(command, seed, config, scratch)
+                ok = ok and sha is not None
+                print(f"{label} {seed} {sha or f'missing exit={code}'}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
