@@ -16,8 +16,9 @@ check that is exact in exact arithmetic fails; each report records the
 eps of the stencil arithmetic. The stencil points share coordinates (the
 1539 points of the second differences have 19 distinct z and 193 distinct
 (y, z) pairs), and `polyfield.eval_fields` contracts the field's cubes over
-the distinct ones only. fd_partial and fd_second_partial are the one-axis
-float64 stencils of a scalar callable.
+the distinct ones only. fd_grad, fd_jac and fd_mat_grad are one function,
+the first differences of every entry along each axis. fd_partial and
+fd_second_partial are the one-axis float64 stencils of a scalar callable.
 
 check_operator and run_suite refuse spacings that cannot give an observed
 order, before any evaluation. The order is the closed-form least-squares
@@ -92,19 +93,14 @@ def _rounded(quotients, h):
     return out if np.ndim(h) else out[0]
 
 
-def _first_differences(F, pts, h):
+def fd_grad(F, pts, h):
     """Central differences of every entry of F along each axis: (..., npts, *F.shape, 3)."""
     V, hs = _at_offsets(F, pts, h, _FIRST)
     G = (V[:, :3] - V[:, 3:]) / (2 * hs[:, None])
     return _rounded(np.moveaxis(G, 1, -1), h)
 
 
-def fd_grad(p, pts, h):
-    return _first_differences(p, pts, h)
-
-
-def fd_jac(u, pts, h):
-    return _first_differences(u, pts, h)
+fd_jac = fd_mat_grad = fd_grad
 
 
 def fd_div(u, pts, h):
@@ -121,10 +117,6 @@ def fd_curl(u, pts, h):
         ],
         axis=-1,
     )
-
-
-def fd_mat_grad(P, pts, h):
-    return _first_differences(P, pts, h)
 
 
 def fd_mat_curl(P, pts, h):

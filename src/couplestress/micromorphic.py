@@ -108,7 +108,7 @@ def companion_class(model):
 def _check_companion(model, P):
     _, lacked, name, lacked_name, _ = _CLASSES[companion_class(model)]
     gap = 0.0 if lacked is None else pf.max_abs_coeff_mat(lacked(P))
-    if gap > 0.0:
+    if gap != 0.0:  # a NaN gap is refused too
         raise ValueError(f"{model} companion must be {name}, {lacked_name} part {gap}")
 
 

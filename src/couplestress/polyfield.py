@@ -40,9 +40,13 @@ adds in the order of the dict double loop. Both paths give the same
 coefficients in the same key order. The numpy steps give overflow, inf * 0
 and NaN silently, as the loop does.
 
+One builder forms every partial-derivative array (`grad`, `jac`,
+`mat_grad`; twice for `second_gradient`, on sym grad u for
+`strain_gradient`); `div` and `curl` take only the partials they read.
+
 `ScalarField.dot` is the sum of products p0*q0 + p1*q1 + ... (optionally
-weighted), formed left to right; `tensors.inner`, `inner_vec` and
-`ten3_inner` and the `lift` pairings call it on scalar fields. Poly3 fuses
+weighted), the left-to-right chain of `tensors`, whose contractions and
+the `lift` pairings call it on scalar fields. Poly3 fuses
 it once the products hold DOT_FUSED_PAIRS term pairs in all: one bincount
 over every product's plan, then one sequential cumulative sum per key in
 the chain's key order, bitwise the chain's result. Where the chain drops a
@@ -157,12 +161,8 @@ class ScalarField:
     @classmethod
     def dot(cls, ps, qs, weights=None):
         """Sum of p_m * q_m (times w_m), formed left to right by the chain
-        p0*q0 + p1*q1 + ... (each term p*q*w); at least one term."""
-        if weights is None:
-            terms = map(operator.mul, ps, qs)
-        else:
-            terms = (p * q * w for p, q, w in zip(ps, qs, weights))
-        return functools.reduce(operator.add, terms)
+        of `tensors` (each term p*q*w); at least one term."""
+        return tn._chain(ps, qs, weights)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -175,16 +175,17 @@ class ScalarField:
     def restrict(self, axis, value):
         """Substitute one variable by a constant: the trace moves to index 0."""
         ax = _axis(axis)
-        vals = self._trace_values(dense_degree([self]) + 1, float(value))
+        vals = self._trace_values(ax, float(value))
         coef = {}
         for key, val in self.coef.items():
             new = key[:ax] + (0,) + key[ax + 1:]
             coef[new] = coef.get(new, 0.0) + val * vals[key[ax]]
         return self._result(coef)
 
-    def _trace_values(self, D, value):
-        """The 1D factors 0 .. D-1 at value, by the family's `dense_values`."""
-        return self.dense_values(D, value).tolist()
+    def _trace_values(self, ax, value):
+        """The 1D factors at value, indexed by the keys' index on axis ax,
+        by the family's `dense_values` up to the largest index."""
+        return self.dense_values(dense_degree([self]) + 1, value).tolist()
 
 
 class Poly3(ScalarField):
@@ -336,8 +337,9 @@ class Poly3(ScalarField):
             acc += val / ((i + 1) * (j + 1) * (k + 1))
         return acc
 
-    def _trace_values(self, D, value):
-        return [value**e for e in range(D)]  # each power rounded once
+    def _trace_values(self, ax, value):
+        # each power rounded once, only for the exponents present
+        return {e: value**e for e in {key[ax] for key in self.coef}}
 
     def eval(self, pts):
         """Evaluate on an (..., 3) array of points."""
@@ -345,10 +347,10 @@ class Poly3(ScalarField):
         squeeze = pts.ndim == 1
         p = pts.reshape(-1, 3)
         out = np.zeros(p.shape[0])
-        # per-axis powers p[:, a] ** e, formed once and multiplied in the order
-        # val * x^i * y^j * z^k of the monomial
-        D = dense_degree([self]) + 1
-        xs, ys, zs = ([p[:, a] ** e for e in range(D)] for a in range(3))
+        # per-axis powers p[:, a] ** e of the exponents present, formed once and
+        # multiplied in the order val * x^i * y^j * z^k of the monomial
+        xs, ys, zs = ({e: p[:, a] ** e for e in {key[a] for key in self.coef}}
+                      for a in range(3))
         for (i, j, k), val in self.coef.items():
             out += val * xs[i] * ys[j] * zs[k]
         if squeeze:
@@ -1015,18 +1017,23 @@ def zero_mat(cap=DEFAULT_CAP):
 # --- differential operators -------------------------------------------
 
 
+def _partials(F):
+    """G[..., l] = d F[...] / d x_l for an array F of scalars or batches (or one scalar)."""
+    F = np.asarray(F, dtype=object)
+    out = np.empty(F.shape + (3,), dtype=object)
+    for row, f in zip(out.reshape(-1, 3), F.flat):
+        row[0], row[1], row[2] = f.diff(0), f.diff(1), f.diff(2)
+    return out
+
+
 def grad(p):
     """Gradient of a scalar field."""
-    return as_vec([p.diff(0), p.diff(1), p.diff(2)])
+    return _partials(p)
 
 
 def jac(u):
     """Jacobian of a vector field, J[i,j] = d u_i / d x_j."""
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = u[i].diff(j)
-    return out
+    return _partials(u)
 
 
 def div(u):
@@ -1045,12 +1052,7 @@ def curl(u):
 
 def mat_grad(P):
     """Third-order gradient of a matrix field, G[i,j,k] = d P_ij / d x_k."""
-    out = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j, k] = P[i, j].diff(k)
-    return out
+    return _partials(P)
 
 
 def mat_curl(P):
@@ -1058,42 +1060,22 @@ def mat_curl(P):
 
     Componentwise (Curl P)_ij = sum_lk EPS[j,l,k] d P_ik / d x_l.
     """
-    out = np.empty((3, 3), dtype=object)
-    for i in range(3):
-        row = as_vec([P[i, 0], P[i, 1], P[i, 2]])
-        c = curl(row)
-        for j in range(3):
-            out[i, j] = c[j]
-    return out
+    return as_mat([curl(row) for row in P])
 
 
 def mat_div(P):
     """Row-wise divergence, (Div P)_i = sum_j d P_ij / d x_j."""
-    return as_vec(
-        [P[i, 0].diff(0) + P[i, 1].diff(1) + P[i, 2].diff(2) for i in range(3)]
-    )
+    return as_vec([div(row) for row in P])
 
 
 def second_gradient(u):
     """Second gradient of a vector field, T[k,i,j] = d^2 u_k / d x_i d x_j."""
-    out = np.empty((3, 3, 3), dtype=object)
-    for k in range(3):
-        for i in range(3):
-            d = u[k].diff(i)
-            for j in range(3):
-                out[k, i, j] = d.diff(j)
-    return out
+    return _partials(_partials(u))
 
 
 def strain_gradient(u):
     """Gradient of the symmetric strain, E[i,k,l] = d (sym grad u)_ik / d x_l."""
-    eps = tn.sym(jac(u))
-    out = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for k in range(3):
-            for l in range(3):
-                out[i, k, l] = eps[i, k].diff(l)
-    return out
+    return _partials(tn.sym(jac(u)))
 
 
 # --- evaluation and integration helpers ---------------------------------

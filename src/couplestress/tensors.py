@@ -5,12 +5,18 @@ arrays whose entries are scalar fields (anything supporting +, -, * and
 integer powers). That lets the same algebra serve pointwise numerics and
 exact polynomial computation.
 
+Every contraction is one left-to-right chain x0*y0 + x1*y1 + ..., taken
+by the entries' own `dot` where their type has one (Poly3 fuses it).
+
 Conventions:
   * anti(v) is the standard spin matrix, anti(v).w = v x w.
   * axl is its inverse on antisymmetric matrices.
   * The third-order permutation symbol is available as EPS[i,j,k].
 """
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -119,35 +125,33 @@ def outer(a, b):
     return out
 
 
+def _chain(xs, ys, weights=None):
+    """x0*y0 + x1*y1 + ..., left to right (each term x*y*w); at least one term."""
+    if weights is None:
+        terms = map(operator.mul, xs, ys)
+    else:
+        terms = (x * y * w for x, y, w in zip(xs, ys, weights))
+    return functools.reduce(operator.add, terms)
+
+
+def _sum_of_products(xs, ys):
+    """The chain, by the first entry's own `dot` where its type has one (Poly3 fuses it)."""
+    return getattr(type(xs[0]), "dot", _chain)(xs, ys)
+
+
 def matmul(A, B):
     out = np.empty((3, 3), dtype=A.dtype)
     for i in range(3):
         for j in range(3):
-            out[i, j] = A[i, 0] * B[0, j] + A[i, 1] * B[1, j] + A[i, 2] * B[2, j]
+            out[i, j] = _sum_of_products(A[i], B[:, j])
     return out
 
 
 def matvec(A, v):
     out = np.empty(3, dtype=A.dtype)
     for i in range(3):
-        out[i] = A[i, 0] * v[0] + A[i, 1] * v[1] + A[i, 2] * v[2]
+        out[i] = _sum_of_products(A[i], v)
     return out
-
-
-def _sum_of_products(xs, ys):
-    """x0*y0 + x1*y1 + ..., left to right.
-
-    Scalar fields take their family's `dot`, which forms this same chain
-    (Poly3 fuses it); floats and batches run the chain here.
-    """
-    from .polyfield import ScalarField  # polyfield imports this module
-
-    if isinstance(xs[0], ScalarField):
-        return type(xs[0]).dot(xs, ys)
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
 
 
 def inner(A, B):

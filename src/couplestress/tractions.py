@@ -41,8 +41,9 @@ class Face:
     value: float
 
     def __post_init__(self):
-        if self.axis not in (0, 1, 2) or self.value not in (0.0, 1.0):
-            raise ValueError("face must be an axis in {0,1,2} at value 0 or 1")
+        integer = isinstance(self.axis, (int, np.integer)) and not isinstance(self.axis, bool)
+        if not integer or self.axis not in (0, 1, 2) or self.value not in (0.0, 1.0):
+            raise ValueError("face must be an integer axis in {0,1,2} at value 0 or 1")
 
     @property
     def normal(self):
