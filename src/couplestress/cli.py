@@ -62,7 +62,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -77,16 +77,10 @@ def _constants_from(config, key, allowed, cls):
     spec = config.get(key, {})
     if not isinstance(spec, dict) or set(spec) - allowed:
         raise ConfigError(f"{key} must be an object with keys in {sorted(allowed)}")
-    try:
-        values = {k: float(v) for k, v in spec.items()}
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"{key} values must be finite: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key} values: {exc}") from exc
-    bad = sorted(k for k, v in values.items() if not math.isfinite(v))
+    bad = sorted(k for k, v in spec.items() if not _real(v))
     if bad:
         raise ConfigError(f"{key} values must be finite: {', '.join(bad)}")
-    constants = cls(**values)
+    constants = cls(**{k: float(v) for k, v in spec.items()})
     try:
         scale = constants.curvature_scale
     except OverflowError:  # ell**2 beyond the float range
@@ -108,6 +102,16 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _real(x):
+    """Whether x is a JSON number (an int or a float, not a bool) with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def poly_from_terms(terms):
     if not isinstance(terms, list):
         raise ConfigError("polynomial component must be a list of [[a,b,c], coeff] terms")
@@ -117,8 +121,8 @@ def poly_from_terms(terms):
             (a, b, c), coeff = item
             if not all(_is_int(e) and e >= 0 for e in (a, b, c)):
                 raise ValueError("exponents must be non-negative integers")
-            if not math.isfinite(float(coeff)):
-                raise ValueError("coefficient must be finite")
+            if not _real(coeff):
+                raise ValueError("coefficient must be a finite number")
             p = p + pf.Poly3.monomial((int(a), int(b), int(c)), float(coeff))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad polynomial term {item!r}: {exc}") from exc
@@ -126,20 +130,27 @@ def poly_from_terms(terms):
 
 
 def field_from(config, key="field"):
-    """Vector field from inline component terms or a JSON file path."""
+    """Vector field from a spec that is exactly {"components": [...]} or exactly
+    {"path": <string>}, the path of a JSON file that holds exactly {"components": [...]}."""
     spec = config.get(key)
     if spec is None:
         return None
-    if isinstance(spec, dict) and "path" in spec:
+    if isinstance(spec, dict) and set(spec) == {"path"}:
+        path = spec["path"]
+        if not isinstance(path, str) or "\0" in path:
+            raise ConfigError(f"{key}.path must be a file name, got {path!r}")
         try:
-            with open(spec["path"], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"field file is not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "components" not in spec:
-        raise ConfigError(f"{key} must be an object with a 'components' list")
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(spec, dict) or set(spec) != {"components"}:
+            raise ConfigError(f"field file {path} must hold an object with exactly "
+                              "the key components")
+    elif not isinstance(spec, dict) or set(spec) != {"components"}:
+        raise ConfigError(f"{key} must be an object with exactly one key, components or path")
     comps = spec["components"]
     if not isinstance(comps, list) or len(comps) != 3:
         raise ConfigError(f"{key}.components must list exactly 3 components")
@@ -155,18 +166,9 @@ def _integer(default, low, high):
     return read
 
 
-def _finite_positive(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(float(x)) and x > 0
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _scale(config, key):
     value = config.get(key, 1.0)
-    if not _finite_positive(value) or value > 10:
+    if not _real(value) or not 0 < value <= 10:
         raise ConfigError(f"{key} must be a finite number in (0, 10]")
     return value
 
@@ -174,7 +176,7 @@ def _scale(config, key):
 def _ladder(config, key):
     ladder = config.get(key, [1.0, 1e2, 1e4, 1e6])
     if not isinstance(ladder, list) or not ladder or not all(
-        _finite_positive(x) for x in ladder
+        _real(x) and x > 0 for x in ladder
     ):
         raise ConfigError(f"{key} must be a non-empty list of finite positive numbers")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -230,7 +232,7 @@ def _face(config, key):
     axis, value = spec["axis"], spec["value"]
     if not _is_int(axis) or axis not in (0, 1, 2):
         raise ConfigError(f"bad face spec: axis must be the integer 0, 1 or 2, got {axis!r}")
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in (0, 1):
+    if not _real(value) or value not in (0, 1):
         raise ConfigError(f"bad face spec: value must be 0 or 1, got {value!r}")
     return tr.Face(int(axis), float(value))
 
@@ -323,7 +325,6 @@ def cmd_verify_identities(args, opts, rng):
     return payload, checks
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_energy_table(args, opts, rng):
     mat = opts["material"]
     u = opts["field"]
@@ -401,7 +402,6 @@ def _frozen_quadratic_field(axis=0):
     return pf.as_vec(comps)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_traction_compare(args, opts, rng):
     face = opts["face"]
     along = (face.axis + 1) % 3
@@ -655,7 +655,10 @@ def main(argv=None):
     try:
         opts = _read_config(args.command, load_config(args.config))
         rng = np.random.default_rng(args.seed)
-        extras, checks = COMMANDS[args.command](args, opts, rng)
+        # one numeric-warning policy: overflow and invalid flags stay silent, and
+        # a non-finite value fails its check or is refused as a config error
+        with np.errstate(over="ignore", invalid="ignore"):
+            extras, checks = COMMANDS[args.command](args, opts, rng)
     except (ConfigError, OverflowError) as exc:  # an overflow comes from config constants
         print(f"config error: {exc}", file=sys.stderr)
         return 2

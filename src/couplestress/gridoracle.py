@@ -16,9 +16,12 @@ check that is exact in exact arithmetic fails; each report records the
 eps of the stencil arithmetic. The stencil points share coordinates (the
 1539 points of the second differences have 19 distinct z and 193 distinct
 (y, z) pairs), and `polyfield.eval_fields` contracts the field's cubes over
-the distinct ones only. fd_grad, fd_jac and fd_mat_grad are one function,
-the first differences of every entry along each axis. fd_partial and
-fd_second_partial are the one-axis float64 stencils of a scalar callable.
+the distinct ones only. The oracle is two stencil builders, fd_grad (the
+first differences of every entry along each axis; also fd_jac and
+fd_mat_grad) and fd_second_gradient, and two contractions of fd_grad,
+fd_div and fd_curl, each for a vector or, row by row, a matrix field
+(also fd_mat_div and fd_mat_curl). fd_partial and fd_second_partial are
+the one-axis float64 stencils of a scalar callable.
 
 check_operator and run_suite refuse spacings that cannot give an observed
 order, before any evaluation. The order is the closed-form least-squares
@@ -26,7 +29,7 @@ slope of log error against log h.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -103,29 +106,18 @@ def fd_grad(F, pts, h):
 fd_jac = fd_mat_grad = fd_grad
 
 
-def fd_div(u, pts, h):
-    return np.trace(fd_jac(u, pts, h), axis1=-2, axis2=-1)
+def fd_div(F, pts, h):
+    """Trace of the last two slots of fd_grad: div u, or Div P row by row."""
+    return np.trace(fd_grad(F, pts, h), axis1=-2, axis2=-1)
 
 
-def fd_curl(u, pts, h):
-    J = fd_jac(u, pts, h)
-    return np.stack(
-        [
-            J[..., 2, 1] - J[..., 1, 2],
-            J[..., 0, 2] - J[..., 2, 0],
-            J[..., 1, 0] - J[..., 0, 1],
-        ],
-        axis=-1,
-    )
+def fd_curl(F, pts, h):
+    """eps_jlk d F_k / d x_l from fd_grad: curl u, or Curl P row by row."""
+    return np.einsum("jlk,...kl->...j", tn.EPS, fd_grad(F, pts, h))
 
 
-def fd_mat_curl(P, pts, h):
-    G = fd_mat_grad(P, pts, h)  # G[..., i, k, l] = d P_ik / d x_l
-    return np.einsum("jlk,...ikl->...ij", tn.EPS, G)
-
-
-def fd_mat_div(P, pts, h):
-    return np.trace(fd_mat_grad(P, pts, h), axis1=-2, axis2=-1)
+fd_mat_div = fd_div
+fd_mat_curl = fd_curl
 
 
 def fd_second_gradient(u, pts, h):
@@ -148,15 +140,7 @@ class OrderReport:
     stencil_eps: float = field(default_factory=lambda: float(np.finfo(STENCIL_DTYPE).eps))
 
     def as_dict(self):
-        return {
-            "operator": self.operator,
-            "hs": list(self.hs),
-            "errors": list(self.errors),
-            "observed_order": self.observed_order,
-            "exact_match": self.exact_match,
-            "passed": self.passed,
-            "stencil_eps": self.stencil_eps,
-        }
+        return asdict(self)
 
 
 def _check_spacings(hs):

@@ -9,11 +9,12 @@ Every check is linear with constant coefficients, so `run_suite` runs it on
 BLOCK trials at once: the inputs are fields of `polyfield.DenseBatch`
 entries, and each coefficient of a batch goes through the float operations
 of the matching Poly3 dict entry, so the magnitudes are those of a
-trial-by-trial run bit for bit.
+trial-by-trial run bit for bit. Each check gives one `IdentityReport`,
+whose dict form is its dataclass fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,13 +139,7 @@ class IdentityReport:
     passed: bool
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "magnitude": self.magnitude,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 _IDENTITY_CHECKS = [

@@ -10,7 +10,10 @@ and the second-gradient space T[k,i,j] = u_k,ij:
 The curvature energy acts row by row on k = Curl(sym grad u) through 3x3
 blocks L^i; pulled back through the reconstruction it becomes a sixth
 order form C on second gradients with <C T, T> equal to the row-wise
-curvature pairing for every displacement field.
+curvature pairing for every displacement field. Both sides are one
+pairing <M f, f>, the chain of f[r] * f[c] * M[r, c] over the nonzeros of
+M in row-major order: the block-diagonal matrix of the L^i on the rows of
+k, and C on the flattened second gradient.
 
 The law comes from `energies`: the fourth-order tensor and the full-matrix
 pairing are its curvature parts under the weights (2 a1, 2 a2). Every
@@ -177,24 +180,20 @@ def sixth_order_isotropic(alpha1, alpha2):
 # --- pairings -----------------------------------------------------------------
 
 
-def _weighted_pairing(ps, qs, weights):
-    """Poly3.zero() + p0*q0*w0 + p1*q1*w1 + ..., as that chain forms it."""
+def _pairing(M, f):
+    """<M f, f> for a numeric matrix M and a flat field f: Poly3.zero() plus the
+    chain of f[r] * f[c] * M[r, c] over the nonzeros of M in row-major order."""
+    rows, cols = np.nonzero(M)
     acc = pf.Poly3.zero()
-    return acc + pf.Poly3.dot(ps, qs, weights) if len(ps) else acc
+    return acc + pf.Poly3.dot(f[rows], f[cols], M[rows, cols].tolist()) if len(rows) else acc
 
 
 def row_pairing(k, blocks):
-    """sum_i <L^i k_i, k_i> as an exact polynomial, rows of k as vectors."""
-    ps, qs, weights = [], [], []
-    for i in range(3):
-        Li = blocks[i]
-        for j in range(3):
-            for l in range(3):
-                if Li[j, l]:
-                    ps.append(k[i, j])
-                    qs.append(k[i, l])
-                    weights.append(float(Li[j, l]))
-    return _weighted_pairing(ps, qs, weights)
+    """sum_i <L^i k_i, k_i> as an exact polynomial, rows of k as vectors: the
+    pairing of the block-diagonal matrix of the blocks with k row-major."""
+    M = np.zeros((3, 3, 3, 3))  # M[i, j, i, l] = L^i[j, l]
+    M[range(3), :, range(3)] = blocks
+    return _pairing(M.reshape(9, 9), np.asarray(k, dtype=object).reshape(9))
 
 
 def matrix_pairing(k, alpha1, alpha2):
@@ -209,9 +208,7 @@ def matrix_pairing(k, alpha1, alpha2):
 
 def second_gradient_pairing(u, C):
     """<C T, T> for T the flattened second gradient of u."""
-    T = second_gradient_flat(u)
-    rows, cols = np.nonzero(C)
-    return _weighted_pairing(T[rows], T[cols], C[rows, cols].tolist())
+    return _pairing(C, second_gradient_flat(u))
 
 
 def verify_energy_equality(u, alpha1, alpha2, C=None):

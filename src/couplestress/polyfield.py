@@ -73,6 +73,7 @@ PLAN_PAIRS = 1 << 20  # term pairs held by each plan cache (8 bytes a pair)
 DOT_CHUNK_PAIRS = 8192  # term pairs a fused dot multiplies at once
 
 _AXES = {0: 0, 1: 1, 2: 2, "x": 0, "y": 1, "z": 2, "x1": 0, "x2": 1, "x3": 2}
+_BOOLS = frozenset((bool, np.bool_))  # equal to 0 and 1, so they would pass as indices
 
 
 class DegreeCapError(ValueError):
@@ -80,10 +81,21 @@ class DegreeCapError(ValueError):
 
 
 def _axis(axis):
+    if axis.__class__ in _BOOLS:  # neither type can be subclassed
+        raise ValueError(f"unknown axis {axis!r}: a boolean is not an axis")
     try:
         return _AXES[axis]
     except KeyError:
         raise ValueError(f"unknown axis {axis!r}") from None
+
+
+def _holds_bool(seqs):
+    """Whether an entry of one of the sequences is a bool or np.bool_; False where one
+    of them is not a sequence, which the caller refuses on its own."""
+    try:
+        return not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(seqs)))
+    except TypeError:
+        return False
 
 
 _REALS = (int, float, np.floating, np.integer)
@@ -165,8 +177,8 @@ class ScalarField:
         return tn._chain(ps, qs, weights)
 
     def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("only nonnegative integer powers")
+        if n.__class__ in _BOOLS or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"only nonnegative integer powers, got {n!r}")
         out = self._const(1.0)
         for _ in range(int(n)):
             out = out * self
@@ -196,6 +208,9 @@ class Poly3(ScalarField):
     def __init__(self, coef=None, cap=DEFAULT_CAP):
         clean = {}
         if coef:
+            if _holds_bool(coef):
+                key = next(key for key in coef if _holds_bool([key]))
+                raise ValueError(f"monomial key {key!r} is not three integer exponents")
             for key, val in coef.items():
                 try:
                     i, j, k = map(operator.index, key)
@@ -584,7 +599,7 @@ def to_dense(p, D):
 def from_dense(cube, cap=DEFAULT_CAP):
     """Poly3 from the nonzero entries of a dense cube."""
     idx = np.nonzero(cube)
-    return Poly3(dict(zip(zip(*idx), cube[idx])), cap)
+    return Poly3(dict(zip(zip(*(i.tolist() for i in idx)), cube[idx].tolist())), cap)
 
 
 def dense_stack(rows, D=None):

@@ -42,8 +42,10 @@ class Face:
 
     def __post_init__(self):
         integer = isinstance(self.axis, (int, np.integer)) and not isinstance(self.axis, bool)
-        if not integer or self.axis not in (0, 1, 2) or self.value not in (0.0, 1.0):
-            raise ValueError("face must be an integer axis in {0,1,2} at value 0 or 1")
+        boolean = isinstance(self.value, (bool, np.bool_))
+        if not integer or self.axis not in (0, 1, 2) or boolean or self.value not in (0.0, 1.0):
+            raise ValueError("face must be an integer axis in {0,1,2} at value 0 or 1, "
+                             f"got axis {self.axis!r} at value {self.value!r}")
 
     @property
     def normal(self):

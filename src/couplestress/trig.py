@@ -25,7 +25,7 @@ import operator
 
 import numpy as np
 
-from .polyfield import ScalarField, _axis, eval_fields
+from .polyfield import ScalarField, _axis, _holds_bool, eval_fields
 
 COS, SIN = 0, 1
 
@@ -43,7 +43,7 @@ def _factors(key):
         factors = [(operator.index(kind), operator.index(freq)) for kind, freq in key]
     except (TypeError, ValueError):
         factors = []
-    if len(factors) != 3 or any(kind not in (COS, SIN) for kind, _ in factors):
+    if _holds_bool(key) or len(factors) != 3 or any(kind not in (COS, SIN) for kind, _ in factors):
         raise ValueError(f"term key {key!r} is not three factors (kind 0 or 1, integer freq)")
     return factors
 
@@ -141,7 +141,7 @@ class TrigPoly(ScalarField):
     @classmethod
     def sine_mode(cls, freqs, amplitude=1.0):
         """sin(f1 pi x) sin(f2 pi y) sin(f3 pi z), stored at |f|; zero if any f is 0."""
-        return cls({tuple((SIN, int(f)) for f in freqs): amplitude})
+        return cls({tuple((SIN, f) for f in freqs): amplitude})
 
     # --- dense layout (see polyfield.dense_stack) -----------------------
 

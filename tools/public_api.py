@@ -6,16 +6,16 @@ Usage (from the root of a checkout):
 
 Every module under the `src/couplestress` directory beside this script is
 imported, and each public name defined at the top level of its source (a
-def, a class or an assignment target whose name does not start with an
-underscore) gives one line: its qualified name, with the signature for a
-function or a class, `= value` for an int, float, str or bool, and
-`: type` for anything else. Each public method, class method, static
-method and property written in a public class's own body gives one more
-line. Modules, names and members come in name order, so a name that only
-moves within its source keeps its line, and memory addresses are dropped
-from the default values. Two checkouts expose the same names and
-signatures exactly when their outputs are equal, so a change to the
-public API shows as one `diff`:
+def, a class or an assignment target, also one unpacked from a tuple or a
+list, whose name does not start with an underscore) gives one line: its
+qualified name, with the signature for a function or a class, `= value`
+for an int, float, str or bool, and `: type` for anything else. Each
+public method, class method, static method and property written in a
+public class's own body gives one more line. Modules, names and members
+come in name order, so a name that only moves within its source keeps its
+line, and memory addresses are dropped from the default values. Two
+checkouts expose the same names and signatures exactly when their outputs
+are equal, so a change to the public API shows as one `diff`:
 
     python3 tools/public_api.py > after.txt    # in the changed checkout
     python3 tools/public_api.py > before.txt   # in a checkout of the parent
@@ -40,6 +40,17 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _target_names(target):
+    """The Name nodes an assignment target binds, through tuple and list unpacking."""
+    if isinstance(target, ast.Name):
+        return [target]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for t in target.elts for n in _target_names(t)]
+    if isinstance(target, ast.Starred):
+        return _target_names(target.value)
+    return []
+
+
 def _top_level_names(path):
     """Public names bound at the top level of a module's source, in name order."""
     names = []
@@ -47,7 +58,7 @@ def _top_level_names(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found = [node.name]
         elif isinstance(node, ast.Assign):
-            found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found = [n.id for t in node.targets for n in _target_names(t)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             found = [node.target.id]
         else:
