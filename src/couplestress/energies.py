@@ -8,6 +8,10 @@ weights (2 mu, lam) it is the symmetric force stress, with 2 mu ell^2
 (alpha1, alpha2) the couple stress of either traction bookkeeping. Stresses,
 stiffness, relaxations and the sixth-order lift read these.
 
+Every density weights invariants and sums them left to right by one rule; the
+five classical writings are one table. mu ell^2 multiplies each sum, but sits
+in the weight of the modified-conformal and Hadjesfandiari-Dargush densities.
+
 Every density here maps an exact polynomial displacement field to an exact
 polynomial energy density, so equalities between model families can be
 checked coefficient by coefficient instead of pointwise. The couple stress
@@ -98,19 +102,24 @@ def curvature_weights(c, parts=CURVATURE_PARTS):
     return [2.0 * w * c.curvature_scale for w in constants(c, parts)]
 
 
+def _weighted_sum(terms, weights):
+    """t1 w1 + t2 w2 + ..., summed left to right; unequal lengths raise ValueError."""
+    return reduce(operator.add, [t * w for t, w in zip(terms, weights, strict=True)])
+
+
 def quadratic(X, weights, parts):
     """sum of w |part(X)|^2 from the first term; the trace part gives w tr(X)^2."""
     vals = [part(X) for _, part in parts]
-    return reduce(operator.add, [(tn.norm_sq(v) if isinstance(v, np.ndarray) else v * v) * w
-                                 for v, w in zip(vals, weights)])
+    return _weighted_sum([tn.norm_sq(v) if isinstance(v, np.ndarray) else v * v for v in vals],
+                         weights)
 
 
 def conjugate(X, weights, parts):
     """The conjugate rule: sum of w part(X) from the first term; the trace part gives
     w tr(X) Id."""
     vals = [part(X) for _, part in parts]
-    return reduce(operator.add, [(v if isinstance(v, np.ndarray) else tn.identity_like(X) * v) * w
-                                 for v, w in zip(vals, weights)])
+    return _weighted_sum([v if isinstance(v, np.ndarray) else tn.identity_like(X) * v
+                          for v in vals], weights)
 
 
 # --- curvature measures --------------------------------------------------
@@ -146,11 +155,12 @@ def linear_elastic_density(u, mat):
     return quadratic(pf.jac(u), elastic_weights(mat)[0], ELASTIC_PARTS)
 
 
+_VOLUMETRIC_PARTS = (("mu", tn.devsym), ("kappa", tn.trace))
+
+
 def linear_elastic_density_volumetric(u, mat):
     """Same energy split as mu |dev sym grad u|^2 + (kappa/2) tr(grad u)^2."""
-    J = pf.jac(u)
-    t = tn.trace(J)
-    return tn.norm_sq(tn.devsym(J)) * mat.mu + t * t * (mat.kappa / 2.0)
+    return quadratic(pf.jac(u), (mat.mu, mat.kappa / 2.0), _VOLUMETRIC_PARTS)
 
 
 # --- couple stress curvature densities ------------------------------------
@@ -170,6 +180,18 @@ def indeterminate_density(u, mat):
     return curvature_quadratic(strain_curl(u), mat)
 
 
+_SYM_PARTS = (("alpha1", tn.sym), CURVATURE_PARTS[1])
+# (key, measure, factor on (alpha1, alpha2), parts): grad curl u is twice the
+# rotation gradient, hence its factor 1/4
+_FIVE_FORMS = (
+    ("gradcurl-sym", "gradcurl", 0.25, _SYM_PARTS),
+    ("rotation-gradient", "axl", 1.0, _SYM_PARTS),
+    ("gradcurl-dev", "gradcurl", 0.25, CURVATURE_PARTS),
+    ("strain-curl", "curl", 1.0, _SYM_PARTS),
+    ("strain-curl-dev", "curl", 1.0, CURVATURE_PARTS),
+)
+
+
 def five_form_densities(u, mat):
     """The five classical writings of the couple stress curvature density.
 
@@ -177,34 +199,12 @@ def five_form_densities(u, mat):
     rotation gradient, and via the strain curl with sym or dev sym split.
     All five are computed from scratch and must agree coefficientwise.
     """
-    s = mat.curvature_scale
-    a1, a2 = mat.alpha1, mat.alpha2
-    gc = pf.jac(pf.curl(u))
     J = pf.jac(u)
-    kt = curvature_from_jacobian(J, "axl")
-    kh = curvature_from_jacobian(J, "curl")
-    return {
-        "gradcurl-sym": (
-            tn.norm_sq(tn.sym(gc)) * (a1 / 4.0) + tn.norm_sq(tn.skw(gc)) * (a2 / 4.0)
-        )
-        * s,
-        "rotation-gradient": (
-            tn.norm_sq(tn.sym(kt)) * a1 + tn.norm_sq(tn.skw(kt)) * a2
-        )
-        * s,
-        "gradcurl-dev": (
-            tn.norm_sq(tn.devsym(gc)) * (a1 / 4.0) + tn.norm_sq(tn.skw(gc)) * (a2 / 4.0)
-        )
-        * s,
-        "strain-curl": (
-            tn.norm_sq(tn.sym(kh)) * a1 + tn.norm_sq(tn.skw(kh)) * a2
-        )
-        * s,
-        "strain-curl-dev": (
-            tn.norm_sq(tn.devsym(kh)) * a1 + tn.norm_sq(tn.skw(kh)) * a2
-        )
-        * s,
-    }
+    k = {"gradcurl": pf.jac(pf.curl(u)), "axl": curvature_from_jacobian(J, "axl"),
+         "curl": curvature_from_jacobian(J, "curl")}
+    return {name: quadratic(k[measure], [f * w for w in constants(mat, parts)], parts)
+            * mat.curvature_scale
+            for name, measure, f, parts in _FIVE_FORMS}
 
 
 def equivalence_report(u, mat):
@@ -223,14 +223,12 @@ def equivalence_report(u, mat):
 
 def modified_conformal_density(u, mat):
     """mu ell^2 alpha1 |dev sym Curl(sym grad u)|^2; blind to conformal maps."""
-    kh = strain_curl(u)
-    return tn.norm_sq(tn.devsym(kh)) * (mat.alpha1 * mat.curvature_scale)
+    return quadratic(strain_curl(u), [mat.alpha1 * mat.curvature_scale], CURVATURE_PARTS[:1])
 
 
 def hadjesfandiari_dargush_density(u, mat):
     """mu ell^2 alpha2 |skw Curl(sym grad u)|^2, the skew-only curvature energy."""
-    kh = strain_curl(u)
-    return tn.norm_sq(tn.skw(kh)) * (mat.alpha2 * mat.curvature_scale)
+    return quadratic(strain_curl(u), [mat.alpha2 * mat.curvature_scale], CURVATURE_PARTS[1:])
 
 
 def grioli_density(u, mat, alpha1=None, eta_prime=0.0):
@@ -238,9 +236,8 @@ def grioli_density(u, mat, alpha1=None, eta_prime=0.0):
     if alpha1 is None:
         alpha1 = mat.alpha1
     gc = pf.jac(pf.curl(u))
-    sq = tn.trace(tn.matmul(gc, gc))
-    dens = tn.norm_sq(gc) * (alpha1 / 4.0) + sq * (eta_prime / 4.0)
-    return dens * mat.curvature_scale
+    terms = (tn.norm_sq(gc), tn.trace(tn.matmul(gc, gc)))
+    return _weighted_sum(terms, (alpha1 / 4.0, eta_prime / 4.0)) * mat.curvature_scale
 
 
 def grioli_to_indeterminate(alpha1, eta_prime):
@@ -292,54 +289,41 @@ def _mindlin_iii_curvature_of(T):
 
 def mindlin_i_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form I in eta[i,j,k] = u_k,ij with weights a1..a5."""
-    a1, a2, a3, a4, a5 = a
     eta = _eta(u)
     v_kii = np.trace(eta, axis1=1, axis2=2)
     v_iik = np.trace(eta, axis1=0, axis2=1)
-    t1 = tn.inner_vec(v_kii, v_kii)
-    t2 = tn.ten3_inner(eta, eta)
-    t3 = tn.ten3_inner(eta, eta.transpose(2, 0, 1))  # eta[i,j,k] eta[j,k,i]
-    t4 = tn.inner_vec(v_iik, v_iik)
-    t5 = tn.inner_vec(v_iik, v_kii)
-    dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
-    return dens * mat.curvature_scale
+    terms = (tn.inner_vec(v_kii, v_kii), tn.ten3_inner(eta, eta),
+             tn.ten3_inner(eta, eta.transpose(2, 0, 1)),  # eta[i,j,k] eta[j,k,i]
+             tn.inner_vec(v_iik, v_iik), tn.inner_vec(v_iik, v_kii))
+    return _weighted_sum(terms, a) * mat.curvature_scale
 
 
 def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form II in eta~[i,j,k] = strain_jk,i with weights a1..a5."""
-    a1, a2, a3, a4, a5 = a
     et = _eta_tilde(u)
     v_iik = np.trace(et, axis1=0, axis2=1)
     v_kjj = np.trace(et, axis1=1, axis2=2)
-    t1 = tn.inner_vec(v_iik, v_kjj)
-    t2 = tn.inner_vec(v_kjj, v_kjj)
-    t3 = tn.inner_vec(v_iik, v_iik)
-    t4 = tn.ten3_inner(et, et)
-    t5 = tn.ten3_inner(et, et.transpose(2, 1, 0))  # et[i,j,k] et[k,j,i]
-    dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
-    return dens * mat.curvature_scale
+    terms = (tn.inner_vec(v_iik, v_kjj), tn.inner_vec(v_kjj, v_kjj), tn.inner_vec(v_iik, v_iik),
+             tn.ten3_inner(et, et),
+             tn.ten3_inner(et, et.transpose(2, 1, 0)))  # et[i,j,k] et[k,j,i]
+    return _weighted_sum(terms, a) * mat.curvature_scale
 
 
 def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form III: rotation curvature plus fully symmetric part."""
-    a1, a2, a3, a4, a5 = a
     T = pf.second_gradient(u)
     kc = _mindlin_iii_curvature_of(T)
     es = _eta_sym_of(T)
     v_iij = np.trace(es, axis1=0, axis2=1)
     v_kll = np.trace(es, axis1=1, axis2=2)
-    t1 = tn.norm_sq(kc)
-    t2 = tn.inner(kc, tn.transpose(kc))
-    t3 = tn.inner_vec(v_iij, v_iij)
-    t4 = tn.ten3_inner(es, es)
-    t5 = tn.inner(kc, tn.eps_dot(v_kll))  # EPS[i,j,k] kc[i,j] v_kll[k]
-    dens = t1 * a1 + t2 * a2 + t3 * a3 + t4 * a4 + t5 * a5
-    return dens * mat.curvature_scale
+    terms = (tn.norm_sq(kc), tn.inner(kc, tn.transpose(kc)), tn.inner_vec(v_iij, v_iij),
+             tn.ten3_inner(es, es),
+             tn.inner(kc, tn.eps_dot(v_kll)))  # EPS[i,j,k] kc[i,j] v_kll[k]
+    return _weighted_sum(terms, a) * mat.curvature_scale
 
 
 def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     """Dilatation gradient, traceless symmetric part, and sym grad curl split."""
-    a0, a1, a2 = a
     gd = pf.grad(pf.div(u))
     es = _eta_sym(u)
     # dv[a,b,c] = v_a delta_bc with v_k = es[m,m,k]; its three placements are
@@ -347,26 +331,22 @@ def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     dv = np.multiply.outer(np.trace(es, axis1=0, axis2=1), np.eye(3))
     hat = es - (dv.transpose(1, 2, 0) + dv + dv.transpose(2, 0, 1)) / 5.0
     sgc = tn.sym(pf.jac(pf.curl(u)))
-    dens = tn.norm_sq_vec(gd) * a0 + tn.ten3_inner(hat, hat) * a1 + tn.norm_sq(sgc) * a2
-    return dens * mat.curvature_scale
+    terms = (tn.norm_sq_vec(gd), tn.ten3_inner(hat, hat), tn.norm_sq(sgc))
+    return _weighted_sum(terms, a) * mat.curvature_scale
 
 
 def aifantis_lazar_density(u, mat, a=(1.0, 1.0)):
     """Gradient of dilatation plus full strain gradient."""
-    a0, a1 = a
     gd = pf.grad(pf.div(u))
     E = pf.strain_gradient(u)
-    dens = tn.norm_sq_vec(gd) * a0 + tn.ten3_inner(E, E) * a1
-    return dens * mat.curvature_scale
+    return _weighted_sum((tn.norm_sq_vec(gd), tn.ten3_inner(E, E)), a) * mat.curvature_scale
 
 
 def sharma_kleinert_density(u, mat, a=(1.0, 1.0)):
     """Gradient of dilatation plus gradient of rotation vector."""
-    a0, a1 = a
     gd = pf.grad(pf.div(u))
     gc = pf.jac(pf.curl(u))
-    dens = tn.norm_sq_vec(gd) * a0 + tn.norm_sq(gc) * a1
-    return dens * mat.curvature_scale
+    return _weighted_sum((tn.norm_sq_vec(gd), tn.norm_sq(gc)), a) * mat.curvature_scale
 
 
 # --- registry for reporting ------------------------------------------------
@@ -389,5 +369,7 @@ MODEL_REGISTRY = {
 
 def evaluate_model(name, u, mat):
     """Return the density of one model, at its default weights, and its box integral."""
+    if name not in MODEL_REGISTRY:
+        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_REGISTRY)}")
     dens = MODEL_REGISTRY[name](u, mat)
     return dens, dens.integrate()

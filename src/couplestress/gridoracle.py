@@ -211,8 +211,13 @@ def check_operator(name, u, hs=DEFAULT_H, pts=None, min_order=1.9):
 
 
 def run_suite(seed=0, trials=10, degree=5, hs=DEFAULT_H, min_order=1.9):
-    """Order check of every registered operator on random fields; hs as in `check_operator`."""
+    """Order check of every registered operator on random fields; hs as in `check_operator`.
+
+    trials below 1, degrees below 0 and either one not an integer raise ValueError.
+    """
     _check_spacings(hs)
+    trials = pf._count(trials, "trials", 1)
+    degree = pf._count(degree, "degree", 0)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):

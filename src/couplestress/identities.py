@@ -213,13 +213,11 @@ def run_suite(seed=0, trials=100, degree=4, tol=1e-12, witness_floor=1e-6):
     The trials run in blocks of at most BLOCK, each check once per block,
     on the fields and in the order of one trial at a time; the per-trial
     magnitudes fold with np.maximum and np.minimum, which keep a NaN,
-    which then fails its check. trials below 1 and degrees below 0 raise
-    ValueError.
+    which then fails its check. trials below 1, degrees below 0 and either
+    one not an integer (a bool is not) raise ValueError.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if degree < 0:
-        raise ValueError(f"degree must be at least 0, got {degree}")
+    trials = pf._count(trials, "trials", 1)
+    degree = pf._count(degree, "degree", 0)
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name, _, _ in _IDENTITY_CHECKS}
     least = {name: float("inf") for name, _, _ in _WITNESS_CHECKS}

@@ -26,6 +26,8 @@ is imported on first use, so the exact-calculus commands start without it.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,9 +334,18 @@ def constrained_reference(model, params, u_basis, f):
 
 
 def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
-    """Penalty ladder table against the constrained reference energy."""
+    """Penalty ladder table against the constrained reference energy.
+
+    The ladder is a non-empty, strictly increasing sequence of finite positive
+    penalties, none a bool; any other raises ValueError.
+    """
+    if not len(ladder) or not all(
+            isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
+            and math.isfinite(p) and p > 0 for p in ladder):
+        raise ValueError("penalty ladder must be non-empty, of finite positive numbers (no "
+                         f"booleans), got {ladder!r}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("penalty ladder must be strictly increasing")
+        raise ValueError(f"penalty ladder must be strictly increasing, got {ladder!r}")
     _refuse_unsolvable(model, False)
     companion = companion_basis(model, u_basis)
     grams = coupled_operator_grams(model, u_basis, companion)

@@ -89,6 +89,20 @@ def _axis(axis):
         raise ValueError(f"unknown axis {axis!r}") from None
 
 
+def _count(value, name, floor):
+    """value as an int, for a degree, order or count of at least floor: an integer or
+    np.integer, not a bool; anything else raises a ValueError that names the input."""
+    if value.__class__ in _BOOLS:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+    return n
+
+
 def _holds_bool(seqs):
     """Whether an entry of one of the sequences is a bool or np.bool_; False where one
     of them is not a sequence, which the caller refuses on its own."""
@@ -1189,10 +1203,14 @@ def max_abs_coeff_ten3(T):
 # --- random fields -------------------------------------------------------
 
 
-@functools.cache
 def simplex_keys(degree):
     """The exponents (i, j, k) of total degree at most degree, i slowest and k fastest:
     the order in which `random_poly` draws its coefficients."""
+    return _simplex_keys(_count(degree, "degree", 0))  # checked outside the cache: True == 1
+
+
+@functools.cache
+def _simplex_keys(degree):
     return tuple((i, j, k)
                  for i in range(degree + 1)
                  for j in range(degree + 1 - i)
@@ -1206,9 +1224,9 @@ def random_poly(rng, degree, cap=None, scale=1.0):
     values, which gives the values and generator state of one scalar draw
     per key in that order.
     """
+    keys = simplex_keys(degree)
     if cap is None:
         cap = max(DEFAULT_CAP, degree)
-    keys = simplex_keys(degree)
     return Poly3(dict(zip(keys, rng.uniform(-scale, scale, len(keys)).tolist())), cap)
 
 

@@ -102,6 +102,7 @@ def bubble_basis(order):
     The 1D factors are t(1 - t) t^i, i < order; the cap is that of the
     scalars, each a product of seven fields of cap BUBBLE_CAP.
     """
+    order = pf._count(order, "basis order", 1)
     F = np.zeros((order, order + 2))
     F[range(order), range(1, order + 1)] = 1.0
     F[range(order), range(2, order + 2)] = -1.0
@@ -110,6 +111,7 @@ def bubble_basis(order):
 
 def sine_basis(order):
     """Fields sin(a pi x) sin(b pi y) sin(c pi z) e_d, frequencies 1..order."""
+    order = pf._count(order, "basis order", 1)
     F = np.zeros((order, 2 * order + 1))
     F[range(order), range(1, 2 * order, 2)] = 1.0  # sin(f pi t) sits at index 2 f - 1
     return Basis(TrigPoly, F, "sine")

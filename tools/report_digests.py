@@ -1,4 +1,4 @@
-"""Print a SHA-256 digest of every default CLI report, one line per report.
+"""Print a SHA-256 digest of each CLI report listed in RUNS, one line per report.
 
 Usage (from the root of a checkout):
 
@@ -6,7 +6,10 @@ Usage (from the root of a checkout):
 
 Each of the seven subcommands runs at its defaults in a fresh process, with
 the package from the `src/` directory beside this script, once per seed;
-`lift-check` runs once more with the config {"export_operator": true}. The
+`lift-check` runs once more with the config {"export_operator": true}, and
+`energy-table` (at degree 6) and `conformal-report` (at scale 0.5) once more
+with the material mu 1.3, lam 0.7, alpha1 0.9, alpha2 0.4, ell 0.8, so every
+density is also checked away from the default material. Ten runs a seed. The
 report goes to a temporary file (`--out`), and one line
 `command seed sha256` is printed per report. Two checkouts produce the same
 reports byte for byte exactly when the two outputs are equal, so a
@@ -32,9 +35,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = ("verify-identities", "energy-table", "conformal-report", "traction-compare",
             "solve", "limit-study", "lift-check")
+MATERIAL = {"mu": 1.3, "lam": 0.7, "alpha1": 0.9, "alpha2": 0.4, "ell": 0.8}
 # (label, subcommand, config or None)
 RUNS = [(name, name, None) for name in COMMANDS] + [
-    ("lift-check+export_operator", "lift-check", {"export_operator": True})]
+    ("lift-check+export_operator", "lift-check", {"export_operator": True}),
+    ("energy-table+degree6+material", "energy-table", {"degree": 6, "material": MATERIAL}),
+    ("conformal-report+material+scale", "conformal-report", {"material": MATERIAL, "scale": 0.5})]
 
 
 def digest(command, seed, config, scratch):
