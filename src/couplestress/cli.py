@@ -331,16 +331,17 @@ def cmd_energy_table(args, opts, rng):
     if u is None:
         u = pf.random_vec_field(rng, opts["degree"])
     rows = []
-    for name in opts["models"]:
-        dens, total = en.evaluate_model(name, u, mat)
-        rows.append([name, dens.degree(), total])
-    # no check reads the box energies, so one that overflows is refused, not reported
-    sv.finite(np.array([row[2] for row in rows]), "box energy", f"the field under {mat}")
-    eq = en.equivalence_report(u, mat)
-    gr = (
-        en.grioli_density(u, mat, alpha1=0.7, eta_prime=0.3)
-        - en.indeterminate_density(u, mat.with_alphas(*en.grioli_to_indeterminate(0.7, 0.3)))
-    ).max_abs_coeff()
+    with en._derived_fields(u):  # every density and check reads one state of u
+        for name in opts["models"]:
+            dens, total = en.evaluate_model(name, u, mat)
+            rows.append([name, dens.degree(), total])
+        # no check reads the box energies, so one that overflows is refused, not reported
+        sv.finite(np.array([row[2] for row in rows]), "box energy", f"the field under {mat}")
+        eq = en.equivalence_report(u, mat)
+        gr = (
+            en.grioli_density(u, mat, alpha1=0.7, eta_prime=0.3)
+            - en.indeterminate_density(u, mat.with_alphas(*en.grioli_to_indeterminate(0.7, 0.3)))
+        ).max_abs_coeff()
     checks = [
         at_most("five-form-equivalence", eq["max_difference"], _COEFF_TOL),
         at_most("grioli-map", gr, _COEFF_TOL),
@@ -360,11 +361,13 @@ def cmd_conformal_report(args, opts, rng):
     class_counts = {}
     for _ in range(args.trials):
         phi, params = cf.random_conformal(rng, scale=opts["scale"])
-        relations = cf.relations_report(phi, params)
-        dens = {
-            name: en.evaluate_model(name, phi, mat)[0]
-            for name in ("modified-conformal", "hadjesfandiari-dargush", "indeterminate")
-        }
+        with en._derived_fields(phi):  # the relations and every density read one state of phi
+            relations = cf.relations_report(phi, params)
+            dens = {
+                name: en.evaluate_model(name, phi, mat)[0]
+                for name in ("modified-conformal", "hadjesfandiari-dargush", "indeterminate")
+            }
+            invariance = cf.invariance_report(phi, params, mat)
         spin_sq = float(np.sum(params.W * params.W))  # Frobenius norm squared
         gaps = {
             "modified-conformal-invariant": dens["modified-conformal"].max_abs_coeff(),
@@ -377,7 +380,7 @@ def cmd_conformal_report(args, opts, rng):
             worst[key] = float(np.maximum(worst.get(key, 0.0), gap))
         if np.sqrt(spin_sq) > 1e-6 and mat.alpha2 > 0:
             sensitive = sensitive and dens["indeterminate"].max_abs_coeff() > 1e-13
-        for row in cf.invariance_report(phi, params, mat):
+        for row in invariance:
             class_counts.setdefault(row["model"], set()).add(row["classification"])
     checks = [at_most(key, worst[key], _COEFF_TOL)
               for key in ("modified-conformal-invariant", "hd-density-constant")]

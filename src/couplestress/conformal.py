@@ -6,6 +6,10 @@ trace-free symmetric curvature: dev sym of their strain curl vanishes
 identically, while the skew part stays at the constant W. Energies built
 on the dev sym part alone are therefore blind to an infinite dimensional
 family of deformations.
+
+`relations_report` reads one state of phi's derived fields, and
+`invariance_report` opens a call scope around phi, so its rows derive each
+field of phi once (see `energies._derived_fields`).
 """
 from __future__ import annotations
 
@@ -13,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import energies as en
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import (
     MODEL_REGISTRY,
     Material,
     evaluate_model,
-    strain_curl,
 )
 
 
@@ -72,9 +76,11 @@ def random_conformal(rng, scale=1.0):
 
 
 def relations_report(phi, params):
-    """Max deviation of every closed-form property of a conformal map."""
+    """Max deviation of every closed-form property of a conformal map, from one
+    state of phi's derived fields (the open scope's, if phi is registered)."""
     W, w, p = params.W, params.w, params.p
-    J = pf.jac(phi)
+    s = en._state(phi)
+    J = s.jacobian
     X = [pf.Poly3.variable(ax) for ax in range(3)]
     wdotx_p = X[0] * w[0] + X[1] * w[1] + X[2] * w[2] + p
 
@@ -92,20 +98,20 @@ def relations_report(phi, params):
         np.array([[J[i, j] - expected[i, j] for j in range(3)] for i in range(3)], dtype=object)
     )
 
-    div_gap = (pf.div(phi) - wdotx_p * 3.0).max_abs_coeff()
+    div_gap = (s.div - wdotx_p * 3.0).max_abs_coeff()
     devsym_gap = pf.max_abs_coeff_mat(tn.devsym(J))
 
-    gc = pf.jac(pf.curl(phi))
+    gc = s.grad_curl
     gc_gap = float(np.max(
         [(gc[i, j] - 2.0 * W[i, j]).max_abs_coeff() for i in range(3) for j in range(3)]
     ))
     sym_gc_gap = pf.max_abs_coeff_mat(tn.sym(gc))
 
-    kh = strain_curl(phi)
+    kh = s.k_curl
     skw_density = tn.norm_sq(tn.skw(kh))
     skw_density_gap = (skw_density - float(np.sum(W * W))).max_abs_coeff()
 
-    gd = pf.grad(pf.div(phi))
+    gd = s.grad_div
     dil_density_gap = (tn.norm_sq_vec(gd) - 9.0 * float(w @ w)).max_abs_coeff()
 
     return {
@@ -152,14 +158,15 @@ def invariance_report(phi, params, mat, models=None):
     if models is None:
         models = sorted(MODEL_REGISTRY)
     rows = []
-    for name in models:
-        dens, total = evaluate_model(name, phi, mat)
-        rows.append(
-            {
-                "model": name,
-                "classification": classify_density(dens),
-                "density_degree": dens.degree(),
-                "box_energy": total,
-            }
-        )
+    with en._derived_fields(phi):
+        for name in models:
+            dens, total = evaluate_model(name, phi, mat)
+            rows.append(
+                {
+                    "model": name,
+                    "classification": classify_density(dens),
+                    "density_degree": dens.degree(),
+                    "box_energy": total,
+                }
+            )
     return rows

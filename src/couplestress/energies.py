@@ -22,12 +22,23 @@ curvature enters through two routes that are computed independently:
 
 The two are transposes of each other on gradient fields, which is what
 makes the five classical writings of the couple stress density coincide.
+
+Each function that takes a field reads its derived fields (J, the strain
+curl, grad curl u, grad div u, the second and strain gradients, ...) from
+one state, `_FieldState`, each by the formula of its operator. Inside a call scope
+(`_derived_fields`, a contextvars registry that the identity suite, the
+conformal reports and the CLI open around one field) every function reads
+the same state of a registered field, so the call derives each field once;
+outside one, every call derives from scratch. No state outlives its scope:
+nothing is cached across calls.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import operator
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -122,7 +133,7 @@ def conjugate(X, weights, parts):
                           for v in vals], weights)
 
 
-# --- curvature measures --------------------------------------------------
+# --- curvature measures and the derived fields of one field ------------------
 
 
 def curvature_from_jacobian(J, route):
@@ -137,14 +148,127 @@ def curvature_from_jacobian(J, route):
     raise ValueError(f"unknown curvature route {route!r}")
 
 
+class _FieldState:
+    """The derived fields of one field F, each formed by its `polyfield` operator.
+
+    F is a vector field u, or a matrix field that stands in for J = grad u
+    (as the identity suite's p does). The fields that several readers of one
+    scope take (J, the strain curl, grad curl u, grad div u, the second and
+    strain gradients, Curl J) are kept from their first read. The one-step
+    forms of a kept field (the rotation gradient, axl skw J, curl u, div u
+    and INC(J)) are formed on each read: keeping them gained no time in the
+    identity suite, and each would hold one more field over a block.
+    """
+
+    def __init__(self, F):
+        self.field = F
+
+    @cached_property
+    def jacobian(self):
+        F = self.field
+        return F if np.ndim(F) == 2 else pf.jac(F)
+
+    @cached_property
+    def k_curl(self):
+        return curvature_from_jacobian(self.jacobian, "curl")
+
+    @cached_property
+    def grad_curl(self):
+        return pf.jac(self.curl)
+
+    @cached_property
+    def grad_div(self):
+        return pf.grad(self.div)
+
+    @cached_property
+    def second_gradient(self):
+        return pf.second_gradient(self.field)
+
+    @cached_property
+    def strain_gradient(self):
+        return pf.strain_gradient(self.field)
+
+    @cached_property
+    def curl_J(self):
+        """Curl J, row by row."""
+        return pf.mat_curl(self.jacobian)
+
+    @property
+    def k_axl(self):
+        return curvature_from_jacobian(self.jacobian, "axl")
+
+    @property
+    def axl_skw(self):
+        """axl(skw J), the continuum rotation of u."""
+        return tn.axl(tn.skw(self.jacobian))
+
+    @property
+    def curl(self):
+        return pf.curl(self.field)
+
+    @property
+    def div(self):
+        return pf.div(self.field)
+
+    @property
+    def inc(self):
+        """INC(J) = [Curl(sym J)]^T - grad(axl(skw J)), zero exactly when J is a gradient."""
+        return tn.transpose(self.k_curl) - self.k_axl
+
+
+# registered field id -> (field, its state); the field is held so that its id
+# stays its own while the scope is open
+_FIELD_STATES = contextvars.ContextVar("couplestress_field_states", default=None)
+
+
+class _Scope:
+    """The registry of one open scope (see `_derived_fields`)."""
+
+    def __init__(self, states):
+        self.states = states
+
+    def add(self, F):
+        """Register F (a state is kept for it until `drop`); F is returned."""
+        self.states.setdefault(id(F), (F, _FieldState(F)))
+        return F
+
+    def drop(self, F):
+        self.states.pop(id(F), None)
+
+
+@contextlib.contextmanager
+def _derived_fields(*fields):
+    """A call scope in which each registered field has one state, shared by every
+    function that reads it; an inner scope keeps the states of the outer one.
+
+    The registry is reset when the scope closes, on a return or a raise, so
+    no state outlives the call that opened it.
+    """
+    scope = _Scope(dict(_FIELD_STATES.get() or {}))
+    for F in fields:
+        scope.add(F)
+    token = _FIELD_STATES.set(scope.states)
+    try:
+        yield scope
+    finally:
+        _FIELD_STATES.reset(token)
+
+
+def _state(F):
+    """The state of F in the open scope; outside one, or unregistered, a fresh state,
+    so a call derives from scratch."""
+    hit = (_FIELD_STATES.get() or {}).get(id(F))
+    return _FieldState(F) if hit is None else hit[1]
+
+
 def rotation_gradient(u):
     """k = grad(axl(skw(grad u))), the gradient of the continuum rotation."""
-    return curvature_from_jacobian(pf.jac(u), "axl")
+    return _state(u).k_axl
 
 
 def strain_curl(u):
     """k = Curl(sym(grad u)), row-wise curl of the strain."""
-    return curvature_from_jacobian(pf.jac(u), "curl")
+    return _state(u).k_curl
 
 
 # --- local elastic density -------------------------------------------------
@@ -152,7 +276,7 @@ def strain_curl(u):
 
 def linear_elastic_density(u, mat):
     """mu |sym grad u|^2 + (lam/2) tr(grad u)^2."""
-    return quadratic(pf.jac(u), elastic_weights(mat)[0], ELASTIC_PARTS)
+    return quadratic(_state(u).jacobian, elastic_weights(mat)[0], ELASTIC_PARTS)
 
 
 _VOLUMETRIC_PARTS = (("mu", tn.devsym), ("kappa", tn.trace))
@@ -160,7 +284,7 @@ _VOLUMETRIC_PARTS = (("mu", tn.devsym), ("kappa", tn.trace))
 
 def linear_elastic_density_volumetric(u, mat):
     """Same energy split as mu |dev sym grad u|^2 + (kappa/2) tr(grad u)^2."""
-    return quadratic(pf.jac(u), (mat.mu, mat.kappa / 2.0), _VOLUMETRIC_PARTS)
+    return quadratic(_state(u).jacobian, (mat.mu, mat.kappa / 2.0), _VOLUMETRIC_PARTS)
 
 
 # --- couple stress curvature densities ------------------------------------
@@ -199,9 +323,8 @@ def five_form_densities(u, mat):
     rotation gradient, and via the strain curl with sym or dev sym split.
     All five are computed from scratch and must agree coefficientwise.
     """
-    J = pf.jac(u)
-    k = {"gradcurl": pf.jac(pf.curl(u)), "axl": curvature_from_jacobian(J, "axl"),
-         "curl": curvature_from_jacobian(J, "curl")}
+    s = _state(u)
+    k = {"gradcurl": s.grad_curl, "axl": s.k_axl, "curl": s.k_curl}
     return {name: quadratic(k[measure], [f * w for w in constants(mat, parts)], parts)
             * mat.curvature_scale
             for name, measure, f, parts in _FIVE_FORMS}
@@ -235,7 +358,7 @@ def grioli_density(u, mat, alpha1=None, eta_prime=0.0):
     """mu ell^2 [ (alpha1/4) |grad curl u|^2 + (eta'/4) tr((grad curl u)^2) ]."""
     if alpha1 is None:
         alpha1 = mat.alpha1
-    gc = pf.jac(pf.curl(u))
+    gc = _state(u).grad_curl
     terms = (tn.norm_sq(gc), tn.trace(tn.matmul(gc, gc)))
     return _weighted_sum(terms, (alpha1 / 4.0, eta_prime / 4.0)) * mat.curvature_scale
 
@@ -258,17 +381,17 @@ def grioli_to_indeterminate(alpha1, eta_prime):
 
 def _eta(u):
     """Mindlin form I tensor eta[i,j,k] = u_k,ij."""
-    return pf.second_gradient(u).transpose(1, 2, 0)
+    return _state(u).second_gradient.transpose(1, 2, 0)
 
 
 def _eta_tilde(u):
     """Mindlin form II tensor eta~[i,j,k] = (sym grad u)_jk,i."""
-    return pf.strain_gradient(u).transpose(2, 0, 1)
+    return _state(u).strain_gradient.transpose(2, 0, 1)
 
 
 def _eta_sym(u):
     """Fully symmetric part eta^S[i,j,k] = (u_k,ij + u_i,jk + u_j,ki)/3."""
-    return _eta_sym_of(pf.second_gradient(u))
+    return _eta_sym_of(_state(u).second_gradient)
 
 
 def _eta_sym_of(T):
@@ -278,7 +401,7 @@ def _eta_sym_of(T):
 
 def _mindlin_iii_curvature(u):
     """k[i,j] = (1/2) EPS[j,l,k] u_k,li, the form III rotation curvature."""
-    return _mindlin_iii_curvature_of(pf.second_gradient(u))
+    return _mindlin_iii_curvature_of(_state(u).second_gradient)
 
 
 def _mindlin_iii_curvature_of(T):
@@ -311,7 +434,7 @@ def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
 
 def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form III: rotation curvature plus fully symmetric part."""
-    T = pf.second_gradient(u)
+    T = _state(u).second_gradient
     kc = _mindlin_iii_curvature_of(T)
     es = _eta_sym_of(T)
     v_iij = np.trace(es, axis1=0, axis2=1)
@@ -324,28 +447,29 @@ def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
 
 def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     """Dilatation gradient, traceless symmetric part, and sym grad curl split."""
-    gd = pf.grad(pf.div(u))
+    s = _state(u)
+    gd = s.grad_div
     es = _eta_sym(u)
     # dv[a,b,c] = v_a delta_bc with v_k = es[m,m,k]; its three placements are
     # the trace part delta_ij v_k + delta_jk v_i + delta_ki v_j of es
     dv = np.multiply.outer(np.trace(es, axis1=0, axis2=1), np.eye(3))
     hat = es - (dv.transpose(1, 2, 0) + dv + dv.transpose(2, 0, 1)) / 5.0
-    sgc = tn.sym(pf.jac(pf.curl(u)))
+    sgc = tn.sym(s.grad_curl)
     terms = (tn.norm_sq_vec(gd), tn.ten3_inner(hat, hat), tn.norm_sq(sgc))
     return _weighted_sum(terms, a) * mat.curvature_scale
 
 
 def aifantis_lazar_density(u, mat, a=(1.0, 1.0)):
     """Gradient of dilatation plus full strain gradient."""
-    gd = pf.grad(pf.div(u))
-    E = pf.strain_gradient(u)
+    s = _state(u)
+    gd, E = s.grad_div, s.strain_gradient
     return _weighted_sum((tn.norm_sq_vec(gd), tn.ten3_inner(E, E)), a) * mat.curvature_scale
 
 
 def sharma_kleinert_density(u, mat, a=(1.0, 1.0)):
     """Gradient of dilatation plus gradient of rotation vector."""
-    gd = pf.grad(pf.div(u))
-    gc = pf.jac(pf.curl(u))
+    s = _state(u)
+    gd, gc = s.grad_div, s.grad_curl
     return _weighted_sum((tn.norm_sq_vec(gd), tn.norm_sq(gc)), a) * mat.curvature_scale
 
 
@@ -368,8 +492,9 @@ MODEL_REGISTRY = {
 
 
 def evaluate_model(name, u, mat):
-    """Return the density of one model, at its default weights, and its box integral."""
-    if name not in MODEL_REGISTRY:
+    """Return the density of one model, at its default weights, and its box integral;
+    a name that is not a registered one (or not a str) raises ValueError."""
+    if not isinstance(name, str) or name not in MODEL_REGISTRY:
         raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_REGISTRY)}")
     dens = MODEL_REGISTRY[name](u, mat)
     return dens, dens.integrate()

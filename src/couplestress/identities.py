@@ -11,13 +11,22 @@ entries, and each coefficient of a batch goes through the float operations
 of the matching Poly3 dict entry, so the magnitudes are those of a
 trial-by-trial run bit for bit. Each check gives one `IdentityReport`,
 whose dict form is its dataclass fields.
+
+The checks read the derived fields of their input (J, the strain curl,
+grad curl u, Curl p, ...) from `energies._state`. Per block and per list
+(identities, then witnesses), each input is built from the block's draw
+at the first check that reads it and registered in a call scope, so the
+checks share one state of it, and both are dropped after the last such
+check: a block holds one input's state at a time.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import energies as en
 from . import polyfield as pf
 from . import tensors as tn
 
@@ -31,62 +40,63 @@ def incompatibility_first_order(p):
     Vanishes exactly when p is a gradient; measures how far the two
     curvature routes drift apart on incompatible fields.
     """
-    a = tn.transpose(pf.mat_curl(tn.sym(p)))
-    b = pf.jac(tn.axl(tn.skw(p)))
-    return a - b
+    return en._state(p).inc
+
+
+def _inc_of_curl(C):
+    """Curl(C^T), which is inc(e) for C = Curl e."""
+    return pf.mat_curl(tn.transpose(C))
 
 
 def incompatibility_second_order(e):
     """Saint-Venant operator inc(e) = Curl([Curl e]^T) of a symmetric field."""
-    return pf.mat_curl(tn.transpose(pf.mat_curl(e)))
+    return _inc_of_curl(pf.mat_curl(e))
 
 
 # --- individual identity gaps ----------------------------------------------
+# Each gap reads the derived fields of its input (`energies._state`): shared
+# within a `run_suite` block, formed afresh on any other call.
 
 
 def master_identity_gap(u):
     """grad(axl(skw grad u)) - [Curl(sym grad u)]^T on a vector field."""
-    J = pf.jac(u)
-    a = pf.jac(tn.axl(tn.skw(J)))
-    b = tn.transpose(pf.mat_curl(tn.sym(J)))
-    return a - b
+    s = en._state(u)
+    return s.k_axl - tn.transpose(s.k_curl)
 
 
 def rotation_vector_gap(u):
     """2 axl(skw grad u) - curl u."""
-    a = tn.axl(tn.skw(pf.jac(u))) * 2.0
-    return a - pf.curl(u)
+    s = en._state(u)
+    return s.axl_skw * 2.0 - s.curl
 
 
 def sym_grad_curl_gap(u):
     """sym grad(curl u) - 2 sym Curl(sym grad u)."""
-    a = tn.sym(pf.jac(pf.curl(u)))
-    b = tn.sym(pf.mat_curl(tn.sym(pf.jac(u)))) * 2.0
-    return a - b
+    s = en._state(u)
+    return tn.sym(s.grad_curl) - tn.sym(s.k_curl) * 2.0
 
 
 def skw_grad_curl_gap(u):
     """skw grad(curl u) + 2 skw Curl(sym grad u)."""
-    a = tn.skw(pf.jac(pf.curl(u)))
-    b = tn.skw(pf.mat_curl(tn.sym(pf.jac(u)))) * 2.0
-    return a + b
+    s = en._state(u)
+    return tn.skw(s.grad_curl) + tn.skw(s.k_curl) * 2.0
 
 
 def curl_transpose_gap(u):
     """[grad curl u]^T - Curl([grad u]^T)."""
-    a = tn.transpose(pf.jac(pf.curl(u)))
-    b = pf.mat_curl(tn.transpose(pf.jac(u)))
-    return a - b
+    s = en._state(u)
+    return tn.transpose(s.grad_curl) - pf.mat_curl(tn.transpose(s.jacobian))
 
 
 def strain_curl_trace(p):
     """tr Curl(sym p); vanishes for every matrix field p."""
-    return tn.trace(pf.mat_curl(tn.sym(p)))
+    return tn.trace(en._state(p).k_curl)
 
 
 def curl_trace_gap(p):
     """tr Curl(p) - 2 div(axl skw p)."""
-    return tn.trace(pf.mat_curl(p)) - pf.div(tn.axl(tn.skw(p))) * 2.0
+    s = en._state(p)
+    return tn.trace(s.curl_J) - pf.div(s.axl_skw) * 2.0
 
 
 def div_anti_gap(v):
@@ -96,7 +106,7 @@ def div_anti_gap(v):
 
 def axl_skw_curl_gap(P):
     """axl(skw Curl P) - (1/2)(Div(P^T) - grad tr P)."""
-    a = tn.axl(tn.skw(pf.mat_curl(P)))
+    a = tn.axl(tn.skw(en._state(P).curl_J))
     b = (pf.mat_div(tn.transpose(P)) - pf.grad(tn.trace(P))) * 0.5
     return a - b
 
@@ -105,26 +115,25 @@ def nye_gap(A):
     """Curl A + (grad axl A)^T - tr(grad axl A) Id, for skew A."""
     G = pf.jac(tn.axl(A))
     iso = tn.identity_like(G) * tn.trace(G)
-    return pf.mat_curl(A) + tn.transpose(G) - iso
+    return en._state(A).curl_J + tn.transpose(G) - iso
 
 
 def nye_inverse_gap(A):
     """grad(axl A) + (Curl A)^T - (1/2) tr(Curl A) Id, for skew A."""
-    C = pf.mat_curl(A)
+    C = en._state(A).curl_J
     iso = tn.identity_like(C) * (tn.trace(C) * 0.5)
     return pf.jac(tn.axl(A)) + tn.transpose(C) - iso
 
 
 def curl_of_inc_gap(p):
     """Curl(INC(p)) - inc(sym p) for an arbitrary matrix field."""
-    a = pf.mat_curl(incompatibility_first_order(p))
-    b = incompatibility_second_order(tn.sym(p))
-    return a - b
+    s = en._state(p)
+    return pf.mat_curl(s.inc) - _inc_of_curl(s.k_curl)
 
 
 def compatible_inc_gap(u):
     """inc(sym grad u); compatibility of strains that come from displacements."""
-    return incompatibility_second_order(tn.sym(pf.jac(u)))
+    return _inc_of_curl(en._state(u).k_curl)
 
 
 # --- suite ------------------------------------------------------------------
@@ -148,7 +157,7 @@ _IDENTITY_CHECKS = [
     ("sym-grad-curl", "u", sym_grad_curl_gap),
     ("skw-grad-curl", "u", skw_grad_curl_gap),
     ("curl-transpose", "u", curl_transpose_gap),
-    ("gradient-inc", "u", lambda u: incompatibility_first_order(pf.jac(u))),
+    ("gradient-inc", "u", lambda u: en._state(u).inc),
     ("strain-compatibility", "u", compatible_inc_gap),
     ("strain-curl-trace", "p", strain_curl_trace),
     ("curl-trace", "p", curl_trace_gap),
@@ -161,34 +170,42 @@ _IDENTITY_CHECKS = [
 
 _WITNESS_CHECKS = [
     ("inc-witness", "p", lambda p: incompatibility_first_order(p)),
-    ("curl-witness", "p", lambda p: pf.mat_curl(p)),
+    ("curl-witness", "p", lambda p: en._state(p).curl_J),
 ]
 
 
 BLOCK = 128  # trials drawn and checked at once, so memory stays bounded at any trial count
 
 _DRAWS = 18  # scalars drawn per trial: u (3), v (3), p (9, row-major), A's vector (3)
+_SLOTS = {"u": slice(0, 3), "v": slice(3, 6), "p": slice(6, 15), "A": slice(15, 18)}
 
 
-def _random_inputs(rng, n, degree):
-    """The inputs u, v, p and A = anti(a) of n trials, as fields of DenseBatch entries.
+def _random_draws(rng, n, degree):
+    """The coefficients of n trials' inputs, as one (n, 18, len(keys)) draw.
 
-    One draw of (n, 18, len(keys)) values gives exactly the values of n
-    trials of 18 `random_poly` calls each, in `simplex_keys` order, and
-    leaves the generator where they would.
+    It gives exactly the values of n trials of 18 `random_poly` calls each,
+    in `simplex_keys` order, and leaves the generator where they would.
     """
-    keys = pf.simplex_keys(degree)
+    return rng.uniform(-1.0, 1.0, (n, _DRAWS, len(pf.simplex_keys(degree))))
+
+
+@functools.cache
+def _key_slots(degree):
+    """The cube index of each of the `simplex_keys`, one index array per axis."""
+    return tuple(np.array(pf.simplex_keys(degree)).T)
+
+
+def _random_input(draws, arg, degree):
+    """Input arg ("u", "v", "p" or A = anti(a)) of the drawn trials, as a field of
+    DenseBatch entries."""
     D = degree + 1
-    cubes = np.zeros((_DRAWS, n, D, D, D))
-    draws = rng.uniform(-1.0, 1.0, (n, _DRAWS, len(keys)))
-    cubes[(slice(None), slice(None)) + tuple(np.array(keys).T)] = draws.transpose(1, 0, 2)
+    values = draws[:, _SLOTS[arg]].transpose(1, 0, 2)
+    cubes = np.zeros(values.shape[:2] + (D, D, D))
+    cubes[(slice(None), slice(None)) + _key_slots(degree)] = values
     b = [pf.DenseBatch(c, pf.Poly3) for c in cubes]
-    return {
-        "u": pf.as_vec(b[0:3]),
-        "v": pf.as_vec(b[3:6]),
-        "p": pf.as_mat([b[6:9], b[9:12], b[12:15]]),
-        "A": tn.anti(pf.as_vec(b[15:18])),
-    }
+    if arg == "p":
+        return pf.as_mat([b[0:3], b[3:6], b[6:9]])
+    return tn.anti(pf.as_vec(b)) if arg == "A" else pf.as_vec(b)
 
 
 def _magnitudes(F):
@@ -201,7 +218,8 @@ def _magnitudes(F):
     entries = np.ravel(F)
     if not isinstance(entries[0], pf.DenseBatch):
         return [pf.max_abs_coeff(F)]
-    return np.max([np.max(np.abs(b.coef), axis=(1, 2, 3)) for b in entries], axis=0)
+    n = len(entries[0].coef)
+    return np.array([abs(b.coef).reshape(n, -1).max(1) for b in entries]).max(0)
 
 
 def run_suite(seed=0, trials=100, degree=4, tol=1e-12, witness_floor=1e-6):
@@ -211,7 +229,8 @@ def run_suite(seed=0, trials=100, degree=4, tol=1e-12, witness_floor=1e-6):
     trials; witnesses must stay above witness_floor in every trial, which
     pins down that incompatible inputs genuinely break the identities.
     The trials run in blocks of at most BLOCK, each check once per block,
-    on the fields and in the order of one trial at a time; the per-trial
+    on the fields and in the order of one trial at a time, the checks of
+    one input in one list sharing its derived fields; the per-trial
     magnitudes fold with np.maximum and np.minimum, which keep a NaN,
     which then fails its check. trials below 1, degrees below 0 and either
     one not an integer (a bool is not) raise ValueError.
@@ -221,14 +240,20 @@ def run_suite(seed=0, trials=100, degree=4, tol=1e-12, witness_floor=1e-6):
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name, _, _ in _IDENTITY_CHECKS}
     least = {name: float("inf") for name, _, _ in _WITNESS_CHECKS}
+    lists = ((_IDENTITY_CHECKS, np.maximum, worst), (_WITNESS_CHECKS, np.minimum, least))
     for start in range(0, trials, BLOCK):
-        inputs = _random_inputs(rng, min(BLOCK, trials - start), degree)
-        for name, arg, fn in _IDENTITY_CHECKS:
-            mags = _magnitudes(fn(inputs[arg]))
-            worst[name] = float(np.maximum.reduce(mags, initial=worst[name]))
-        for name, arg, fn in _WITNESS_CHECKS:
-            mags = _magnitudes(fn(inputs[arg]))
-            least[name] = float(np.minimum.reduce(mags, initial=least[name]))
+        draws = _random_draws(rng, min(BLOCK, trials - start), degree)
+        for checks, fold, acc in lists:
+            last = {arg: i for i, (_, arg, _) in enumerate(checks)}
+            inputs = {}
+            with en._derived_fields() as scope:
+                for i, (name, arg, fn) in enumerate(checks):
+                    if arg not in inputs:
+                        inputs[arg] = scope.add(_random_input(draws, arg, degree))
+                    mags = _magnitudes(fn(inputs[arg]))
+                    if i == last[arg]:
+                        scope.drop(inputs.pop(arg))
+                    acc[name] = float(fold.reduce(mags, initial=acc[name]))
     reports = [
         IdentityReport(name, "identity", worst[name], tol, worst[name] <= tol)
         for name, _, _ in _IDENTITY_CHECKS

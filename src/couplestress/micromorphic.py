@@ -96,7 +96,13 @@ class MicromorphicParams:
         return self.mu * self.ell**2
 
     def with_penalty(self, value):
-        return replace(self, penalty=float(value))
+        """A copy at penalty float(value); a value that is no float (one past the
+        float range included) raises ValueError."""
+        try:
+            return replace(self, penalty=float(value))
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"penalty must be a real number in the float range, got {value!r}") from None
 
     def constrained_material(self):
         """Material of the couple stress model this relaxation approaches."""
@@ -333,15 +339,23 @@ def constrained_reference(model, params, u_basis, f):
     return solve_displacement(asm, load_vector(u_basis, f))
 
 
+def _is_penalty_ladder(ladder):
+    try:
+        return bool(len(ladder)) and all(
+            isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
+            and math.isfinite(p) and p > 0 for p in ladder)
+    except (TypeError, OverflowError):  # no sequence; an integer past the float range
+        return False
+
+
 def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
     """Penalty ladder table against the constrained reference energy.
 
     The ladder is a non-empty, strictly increasing sequence of finite positive
-    penalties, none a bool; any other raises ValueError.
+    penalties, none a bool; any other (one that is no sequence, or holds an
+    integer past the float range) raises ValueError.
     """
-    if not len(ladder) or not all(
-            isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
-            and math.isfinite(p) and p > 0 for p in ladder):
+    if not _is_penalty_ladder(ladder):
         raise ValueError("penalty ladder must be non-empty, of finite positive numbers (no "
                          f"booleans), got {ladder!r}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):

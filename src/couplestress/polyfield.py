@@ -31,7 +31,9 @@ truncation: no coefficient is ever dropped.
 
 Arithmetic results skip the construction checks, which cannot fire on them
 (negation, scaling, diff and restrict keep the cap and never raise the
-degree); they only drop exact zeros. A product of at least
+degree); they only drop exact zeros. A sum or difference of two fields of
+one type skips `_coerce`, a multiple tests for a plain float first, and
+`Poly3._result` makes its result inline. A product of at least
 MUL_BINCOUNT_PAIRS term pairs runs from a plan: the structure that depends
 only on the two key orders (which term pairs share an exponent sum, and the
 order in which the sums first occur) is cached per pair of key orders, so
@@ -142,7 +144,7 @@ class ScalarField:
         return None
 
     def __add__(self, other):
-        q = self._coerce(other)
+        q = other if type(other) is type(self) else self._coerce(other)
         if q is None:
             return NotImplemented
         coef = dict(self.coef)
@@ -154,7 +156,7 @@ class ScalarField:
     __radd__ = __add__
 
     def __sub__(self, other):
-        q = self._coerce(other)
+        q = other if type(other) is type(self) else self._coerce(other)
         if q is None:
             return NotImplemented
         coef = dict(self.coef)
@@ -170,12 +172,13 @@ class ScalarField:
         return self._result({k: -v for k, v in self.coef.items()})
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self._product(other)
-        if isinstance(other, _REALS):
-            s = float(other)
-            return self._result({k: v * s for k, v in self.coef.items()})
-        return NotImplemented
+        if type(other) is not float:  # a plain float needs no dispatch
+            if isinstance(other, type(self)):
+                return self._product(other)
+            if not isinstance(other, _REALS):
+                return NotImplemented
+            other = float(other)
+        return self._result({k: v * other for k, v in self.coef.items()})
 
     __rmul__ = __mul__
 
@@ -312,7 +315,13 @@ class Poly3(ScalarField):
     # --- arithmetic: sums take the larger cap, products add caps ---------
 
     def _result(self, coef, other=None):
-        return _made(coef, self.cap if other is None else max(self.cap, other.cap))
+        # `_made`, inline: every sum, difference and multiple ends here
+        if 0.0 in coef.values():
+            coef = {k: v for k, v in coef.items() if v != 0.0}
+        p = object.__new__(Poly3)
+        p.coef = coef
+        p.cap = self.cap if other is None or other.cap <= self.cap else other.cap
+        return p
 
     def _const(self, value):
         return Poly3.const(value, self.cap)

@@ -9,9 +9,13 @@ the package from the `src/` directory beside this script, once per seed;
 `lift-check` runs once more with the config {"export_operator": true}, and
 `energy-table` (at degree 6) and `conformal-report` (at scale 0.5) once more
 with the material mu 1.3, lam 0.7, alpha1 0.9, alpha2 0.4, ell 0.8, so every
-density is also checked away from the default material. Ten runs a seed. The
-report goes to a temporary file (`--out`), and one line
-`command seed sha256` is printed per report. Two checkouts produce the same
+density is also checked away from the default material, and
+`verify-identities` once more with `--trials 300` and the config
+{"degree": 5}, so the suite runs three blocks of trials, the last one
+partial. Each RUNS entry is a label, a subcommand, a config (or None) and
+extra command-line arguments; eleven runs a seed. The report goes to a
+temporary file (`--out`), and one line `label seed sha256` is printed per
+report (a default run's label is its subcommand). Two checkouts produce the same
 reports byte for byte exactly when the two outputs are equal, so a
 byte-identity criterion is one `diff` of two runs:
 
@@ -36,19 +40,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = ("verify-identities", "energy-table", "conformal-report", "traction-compare",
             "solve", "limit-study", "lift-check")
 MATERIAL = {"mu": 1.3, "lam": 0.7, "alpha1": 0.9, "alpha2": 0.4, "ell": 0.8}
-# (label, subcommand, config or None)
-RUNS = [(name, name, None) for name in COMMANDS] + [
-    ("lift-check+export_operator", "lift-check", {"export_operator": True}),
-    ("energy-table+degree6+material", "energy-table", {"degree": 6, "material": MATERIAL}),
-    ("conformal-report+material+scale", "conformal-report", {"material": MATERIAL, "scale": 0.5})]
+# (label, subcommand, config or None, extra arguments)
+RUNS = [(name, name, None, ()) for name in COMMANDS] + [
+    ("lift-check+export_operator", "lift-check", {"export_operator": True}, ()),
+    ("energy-table+degree6+material", "energy-table", {"degree": 6, "material": MATERIAL}, ()),
+    ("conformal-report+material+scale", "conformal-report",
+     {"material": MATERIAL, "scale": 0.5}, ()),
+    ("verify-identities+trials300+degree5", "verify-identities", {"degree": 5},
+     ("--trials", "300"))]
 
 
-def digest(command, seed, config, scratch):
+def digest(command, seed, config, scratch, extra=()):
     """(sha256 of the report or None, exit code) of one fresh CLI run."""
     out = Path(scratch) / "report"
     out.unlink(missing_ok=True)
     argv = [sys.executable, "-m", "couplestress.cli", command, "--seed", str(seed),
-            "--out", str(out)]
+            "--out", str(out), *extra]
     if config is not None:
         cfg = Path(scratch) / "config.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -67,8 +74,8 @@ def main(argv=None):
     ok = True
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
-            for label, command, config in RUNS:
-                sha, code = digest(command, seed, config, scratch)
+            for label, command, config, extra in RUNS:
+                sha, code = digest(command, seed, config, scratch, extra)
                 ok = ok and sha is not None
                 print(f"{label} {seed} {sha or f'missing exit={code}'}", flush=True)
     return 0 if ok else 1
