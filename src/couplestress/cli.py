@@ -175,13 +175,12 @@ def _scale(config, key):
 
 def _ladder(config, key):
     ladder = config.get(key, [1.0, 1e2, 1e4, 1e6])
-    if not isinstance(ladder, list) or not ladder or not all(
-        _real(x) and x > 0 for x in ladder
-    ):
+    if not isinstance(ladder, list):
         raise ConfigError(f"{key} must be a non-empty list of finite positive numbers")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"{key} must be strictly increasing")
-    return ladder
+    try:
+        return mm._penalty_ladder(ladder)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _flag(config, key):
@@ -363,11 +362,7 @@ def cmd_conformal_report(args, opts, rng):
         phi, params = cf.random_conformal(rng, scale=opts["scale"])
         with en._derived_fields(phi):  # the relations and every density read one state of phi
             relations = cf.relations_report(phi, params)
-            dens = {
-                name: en.evaluate_model(name, phi, mat)[0]
-                for name in ("modified-conformal", "hadjesfandiari-dargush", "indeterminate")
-            }
-            invariance = cf.invariance_report(phi, params, mat)
+            dens = {name: en.evaluate_model(name, phi, mat)[0] for name in en.MODEL_REGISTRY}
         spin_sq = float(np.sum(params.W * params.W))  # Frobenius norm squared
         gaps = {
             "modified-conformal-invariant": dens["modified-conformal"].max_abs_coeff(),
@@ -380,8 +375,8 @@ def cmd_conformal_report(args, opts, rng):
             worst[key] = float(np.maximum(worst.get(key, 0.0), gap))
         if np.sqrt(spin_sq) > 1e-6 and mat.alpha2 > 0:
             sensitive = sensitive and dens["indeterminate"].max_abs_coeff() > 1e-13
-        for row in invariance:
-            class_counts.setdefault(row["model"], set()).add(row["classification"])
+        for name, d in dens.items():
+            class_counts.setdefault(name, set()).add(cf.classify_density(d))
     checks = [at_most(key, worst[key], _COEFF_TOL)
               for key in ("modified-conformal-invariant", "hd-density-constant")]
     checks.append(check("indeterminate-sensitive-to-rotation", sensitive, sensitive))
@@ -420,8 +415,7 @@ def cmd_traction_compare(args, opts, rng):
 
     def frozen_gap(label, expected):
         """Largest coefficient of the route's double force minus expected e_(a+1)."""
-        return float(np.max([(p - (expected if i == along else 0.0)).max_abs_coeff()
-                             for i, p in enumerate(g[label])]))
+        return pf.max_abs_coeff(pf.as_vec(g[label]) - expected * np.eye(3)[along])
 
     comparison = tr.face_work_comparison(state, face, tr.face_bump(face, direction=along))
 

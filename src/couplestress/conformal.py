@@ -54,13 +54,11 @@ def conformal_map(W, p=0.0, A=None, b=None):
     A = np.zeros((3, 3)) if A is None else _require_skew(A, "A")
     b = np.zeros(3) if b is None else np.asarray(b, dtype=float)
     w = tn.axl(W)
-    X = [pf.Poly3.variable(ax) for ax in range(3)]
-    wdotx = X[0] * w[0] + X[1] * w[1] + X[2] * w[2]
-    half_norm = (X[0] * X[0] + X[1] * X[1] + X[2] * X[2]) * 0.5
-    comps = []
-    for i in range(3):
-        lin = X[0] * A[i, 0] + X[1] * A[i, 1] + X[2] * A[i, 2]
-        comps.append(wdotx * X[i] - half_norm * w[i] + X[i] * p + lin + float(b[i]))
+    X = pf.as_vec([pf.Poly3.variable(ax) for ax in range(3)])
+    wdotx = tn.inner_vec(X, w)
+    half_norm = tn.norm_sq_vec(X) * 0.5
+    comps = [wdotx * X[i] - half_norm * w[i] + X[i] * p + tn.inner_vec(X, A[i]) + float(b[i])
+             for i in range(3)]
     return pf.as_vec(comps), ConformalParameters(W, float(p), A, b)
 
 
@@ -81,30 +79,19 @@ def relations_report(phi, params):
     W, w, p = params.W, params.w, params.p
     s = en._state(phi)
     J = s.jacobian
-    X = [pf.Poly3.variable(ax) for ax in range(3)]
-    wdotx_p = X[0] * w[0] + X[1] * w[1] + X[2] * w[2] + p
+    X = pf.as_vec([pf.Poly3.variable(ax) for ax in range(3)])
+    wdotx_p = tn.inner_vec(X, w) + p
 
     # grad phi = (<w,x> + p) Id + anti(W x) + A
-    expected = np.empty((3, 3), dtype=object)
-    Wx = [X[0] * W[i, 0] + X[1] * W[i, 1] + X[2] * W[i, 2] for i in range(3)]
-    spin = tn.anti(pf.as_vec(Wx))
-    for i in range(3):
-        for j in range(3):
-            e = spin[i, j] + float(params.A[i, j])
-            if i == j:
-                e = e + wdotx_p
-            expected[i, j] = e
-    grad_gap = pf.max_abs_coeff_mat(
-        np.array([[J[i, j] - expected[i, j] for j in range(3)] for i in range(3)], dtype=object)
-    )
+    expected = tn.anti(pf.as_vec([tn.inner_vec(X, row) for row in W])) + params.A
+    np.fill_diagonal(expected, expected.diagonal() + wdotx_p)
+    grad_gap = pf.max_abs_coeff_mat(J - expected)
 
     div_gap = (s.div - wdotx_p * 3.0).max_abs_coeff()
     devsym_gap = pf.max_abs_coeff_mat(tn.devsym(J))
 
     gc = s.grad_curl
-    gc_gap = float(np.max(
-        [(gc[i, j] - 2.0 * W[i, j]).max_abs_coeff() for i in range(3) for j in range(3)]
-    ))
+    gc_gap = pf.max_abs_coeff_mat(gc - 2.0 * W)
     sym_gc_gap = pf.max_abs_coeff_mat(tn.sym(gc))
 
     kh = s.k_curl

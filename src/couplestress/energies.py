@@ -136,16 +136,17 @@ def conjugate(X, weights, parts):
 # --- curvature measures and the derived fields of one field ------------------
 
 
+_ROUTES = ("curl", "axl")  # the names of the two curvature routes
+
+
 def curvature_from_jacobian(J, route):
     """The curvature of one route from J = grad u, for a caller that holds J.
 
     route "axl": grad(axl(skw J)); route "curl": Curl(sym J).
     """
-    if route == "axl":
+    if pf._choice(route, _ROUTES, "curvature route") == "axl":
         return pf.jac(tn.axl(tn.skw(J)))
-    if route == "curl":
-        return pf.mat_curl(tn.sym(J))
-    raise ValueError(f"unknown curvature route {route!r}")
+    return pf.mat_curl(tn.sym(J))
 
 
 class _FieldState:
@@ -154,7 +155,8 @@ class _FieldState:
     F is a vector field u, or a matrix field that stands in for J = grad u
     (as the identity suite's p does). The fields that several readers of one
     scope take (J, the strain curl, grad curl u, grad div u, the second and
-    strain gradients, Curl J) are kept from their first read. The one-step
+    strain gradients, the fully symmetric part of the second gradient, Curl J
+    and grad axl F of a skew F) are kept from their first read. The one-step
     forms of a kept field (the rotation gradient, axl skw J, curl u, div u
     and INC(J)) are formed on each read: keeping them gained no time in the
     identity suite, and each would hold one more field over a block.
@@ -189,9 +191,18 @@ class _FieldState:
         return pf.strain_gradient(self.field)
 
     @cached_property
+    def eta_sym(self):
+        return _eta_sym_of(self.second_gradient)
+
+    @cached_property
     def curl_J(self):
         """Curl J, row by row."""
         return pf.mat_curl(self.jacobian)
+
+    @cached_property
+    def grad_axl(self):
+        """grad(axl F) of a skew matrix field F (the identity suite's A)."""
+        return pf.jac(tn.axl(self.field))
 
     @property
     def k_axl(self):
@@ -391,7 +402,7 @@ def _eta_tilde(u):
 
 def _eta_sym(u):
     """Fully symmetric part eta^S[i,j,k] = (u_k,ij + u_i,jk + u_j,ki)/3."""
-    return _eta_sym_of(_state(u).second_gradient)
+    return _state(u).eta_sym
 
 
 def _eta_sym_of(T):
@@ -434,9 +445,9 @@ def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
 
 def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form III: rotation curvature plus fully symmetric part."""
-    T = _state(u).second_gradient
-    kc = _mindlin_iii_curvature_of(T)
-    es = _eta_sym_of(T)
+    s = _state(u)
+    kc = _mindlin_iii_curvature_of(s.second_gradient)
+    es = s.eta_sym
     v_iij = np.trace(es, axis1=0, axis2=1)
     v_kll = np.trace(es, axis1=1, axis2=2)
     terms = (tn.norm_sq(kc), tn.inner(kc, tn.transpose(kc)), tn.inner_vec(v_iij, v_iij),
@@ -449,7 +460,7 @@ def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     """Dilatation gradient, traceless symmetric part, and sym grad curl split."""
     s = _state(u)
     gd = s.grad_div
-    es = _eta_sym(u)
+    es = s.eta_sym
     # dv[a,b,c] = v_a delta_bc with v_k = es[m,m,k]; its three placements are
     # the trace part delta_ij v_k + delta_jk v_i + delta_ki v_j of es
     dv = np.multiply.outer(np.trace(es, axis1=0, axis2=1), np.eye(3))
@@ -494,7 +505,5 @@ MODEL_REGISTRY = {
 def evaluate_model(name, u, mat):
     """Return the density of one model, at its default weights, and its box integral;
     a name that is not a registered one (or not a str) raises ValueError."""
-    if not isinstance(name, str) or name not in MODEL_REGISTRY:
-        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_REGISTRY)}")
-    dens = MODEL_REGISTRY[name](u, mat)
+    dens = MODEL_REGISTRY[pf._choice(name, MODEL_REGISTRY, "model")](u, mat)
     return dens, dens.integrate()

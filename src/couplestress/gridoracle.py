@@ -200,7 +200,7 @@ def check_operator(name, u, hs=DEFAULT_H, pts=None, min_order=1.9):
     _check_spacings(hs)
     if pts is None:
         pts = BASE_LATTICE
-    field_of, exact_op, fd_fn = _OPERATORS[name]
+    field_of, exact_op, fd_fn = _OPERATORS[pf._choice(name, _OPERATORS, "operator")]
     F = field_of(u)  # formed once for both sides
     exact = pf.eval_fields(exact_op(F), pts)
     approx = fd_fn(F, pts, list(hs))

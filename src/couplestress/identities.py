@@ -113,16 +113,18 @@ def axl_skw_curl_gap(P):
 
 def nye_gap(A):
     """Curl A + (grad axl A)^T - tr(grad axl A) Id, for skew A."""
-    G = pf.jac(tn.axl(A))
+    s = en._state(A)
+    G = s.grad_axl
     iso = tn.identity_like(G) * tn.trace(G)
-    return en._state(A).curl_J + tn.transpose(G) - iso
+    return s.curl_J + tn.transpose(G) - iso
 
 
 def nye_inverse_gap(A):
     """grad(axl A) + (Curl A)^T - (1/2) tr(Curl A) Id, for skew A."""
-    C = en._state(A).curl_J
+    s = en._state(A)
+    C = s.curl_J
     iso = tn.identity_like(C) * (tn.trace(C) * 0.5)
-    return pf.jac(tn.axl(A)) + tn.transpose(C) - iso
+    return s.grad_axl + tn.transpose(C) - iso
 
 
 def curl_of_inc_gap(p):

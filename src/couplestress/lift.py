@@ -49,6 +49,9 @@ def _slot_matrix(f):
 # --- maps between strain gradients and second gradients ----------------------
 
 
+_SIGNS = {"corrected": 1.0, "printed": -1.0}  # each convention's sign of its second term
+
+
 def reconstruction_matrix(signs="corrected"):
     """27x27 map from flattened strain gradients to second gradients.
 
@@ -57,12 +60,7 @@ def reconstruction_matrix(signs="corrected"):
     the (+, -, -) variant that circulates in the literature and fails the
     round trip; it exists so the failure can be demonstrated, not used.
     """
-    if signs == "corrected":
-        s2 = 1.0
-    elif signs == "printed":
-        s2 = -1.0
-    else:
-        raise ValueError("signs must be 'corrected' or 'printed'")
+    s2 = _SIGNS[pf._choice(signs, _SIGNS, "sign convention")]
     # T[k, i, j] = E[i, k, j] + s2 E[j, k, i] - E[i, j, k]
     return _slot_matrix(lambda E: np.swapaxes(E, -3, -2) + s2 * np.moveaxis(E, -3, -1)
                         - np.moveaxis(E, -1, -3))
@@ -104,13 +102,8 @@ def second_gradient_flat(u):
 
 def apply_flat(M, field_flat):
     """Apply a numeric 27x27 matrix to a flattened polynomial field."""
-    out = np.empty(27, dtype=object)
-    for r in range(27):
-        acc = pf.Poly3.zero()
-        for c in np.nonzero(M[r])[0]:
-            acc = acc + field_flat[c] * float(M[r, c])
-        out[r] = acc
-    return out
+    return np.array([sum((field_flat[c] * float(row[c]) for c in np.nonzero(row)[0]),
+                         pf.Poly3.zero()) for row in M], dtype=object)
 
 
 def roundtrip_gap(u, signs="corrected"):
@@ -119,7 +112,7 @@ def roundtrip_gap(u, signs="corrected"):
     H = halfsym_matrix()
     T = second_gradient_flat(u)
     back = apply_flat(A @ H, T)
-    return float(np.max([(back[r] - T[r]).max_abs_coeff() for r in range(27)]))
+    return pf.max_abs_coeff(back - T)
 
 
 # --- curvature blocks ---------------------------------------------------------

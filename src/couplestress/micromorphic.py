@@ -71,10 +71,7 @@ MODEL_IDS = tuple(_MODELS)
 
 def _model(model):
     """The row of `_MODELS` of one model."""
-    try:
-        return _MODELS[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}") from None
+    return _MODELS[pf._choice(model, _MODELS, "model")]
 
 
 class ExperimentalModelError(ValueError):
@@ -181,13 +178,8 @@ def invariance_gap(u, P, model, params, rng):
     W = tn.anti(rng.uniform(-1.0, 1.0, 3))
     Wpp = tn.anti(rng.uniform(-1.0, 1.0, 3))
     bvec = rng.uniform(-1.0, 1.0, 3)
-    X = [pf.Poly3.variable(ax) for ax in range(3)]
-    u2 = pf.as_vec(
-        [
-            u[i] + X[0] * W[i, 0] + X[1] * W[i, 1] + X[2] * W[i, 2] + float(bvec[i])
-            for i in range(3)
-        ]
-    )
+    X = pf.as_vec([pf.Poly3.variable(ax) for ax in range(3)])
+    u2 = pf.as_vec([u[i] + tn.inner_vec(X, W[i]) + bvec[i] for i in range(3)])
     shift = {"same": W, "independent": Wpp, "none": np.zeros((3, 3))}
     P2 = P + shift[invariance_shift_kind(model)]
     before = micromorphic_energy(u, P, model, params)
@@ -339,27 +331,28 @@ def constrained_reference(model, params, u_basis, f):
     return solve_displacement(asm, load_vector(u_basis, f))
 
 
-def _is_penalty_ladder(ladder):
+def _penalty_ladder(ladder):
+    """ladder, if it is a non-empty, strictly increasing sequence of finite positive
+    penalties, none a bool; any other (one that is no sequence, or holds an integer
+    past the float range) raises ValueError."""
     try:
-        return bool(len(ladder)) and all(
+        numeric = bool(len(ladder)) and all(
             isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
             and math.isfinite(p) and p > 0 for p in ladder)
     except (TypeError, OverflowError):  # no sequence; an integer past the float range
-        return False
-
-
-def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
-    """Penalty ladder table against the constrained reference energy.
-
-    The ladder is a non-empty, strictly increasing sequence of finite positive
-    penalties, none a bool; any other (one that is no sequence, or holds an
-    integer past the float range) raises ValueError.
-    """
-    if not _is_penalty_ladder(ladder):
+        numeric = False
+    if not numeric:
         raise ValueError("penalty ladder must be non-empty, of finite positive numbers (no "
                          f"booleans), got {ladder!r}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"penalty ladder must be strictly increasing, got {ladder!r}")
+    return ladder
+
+
+def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
+    """Penalty ladder table against the constrained reference energy; the ladder as
+    `_penalty_ladder` takes it."""
+    _penalty_ladder(ladder)
     _refuse_unsolvable(model, False)
     companion = companion_basis(model, u_basis)
     grams = coupled_operator_grams(model, u_basis, companion)

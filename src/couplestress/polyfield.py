@@ -31,8 +31,11 @@ truncation: no coefficient is ever dropped.
 
 Arithmetic results skip the construction checks, which cannot fire on them
 (negation, scaling, diff and restrict keep the cap and never raise the
-degree); they only drop exact zeros. A sum or difference of two fields of
-one type skips `_coerce`, a multiple tests for a plain float first, and
+degree); they only drop exact zeros. A zero is dropped by its truthiness
+(`if v`), never by a float compare: CPython 3.11 specializes a hot
+`v != 0.0` branch into an ordered compare, which sets the floating-point
+invalid flag on a NaN, and numpy's object-array loops turn that flag into a
+RuntimeWarning. A sum or difference of two fields of one type skips `_coerce`, a multiple tests for a plain float first, and
 `Poly3._result` makes its result inline. A product of at least
 MUL_BINCOUNT_PAIRS term pairs runs from a plan: the structure that depends
 only on the two key orders (which term pairs share an exponent sum, and the
@@ -83,12 +86,22 @@ class DegreeCapError(ValueError):
 
 
 def _axis(axis):
-    if axis.__class__ in _BOOLS:  # neither type can be subclassed
-        raise ValueError(f"unknown axis {axis!r}: a boolean is not an axis")
+    """The index of an axis: 0, 1 or 2 of an integer type other than bool, or a name
+    of `_AXES`; a float or a bool (both equal to an index) raises a ValueError."""
+    if axis.__class__ is not int and not isinstance(axis, (str, np.integer)):
+        raise ValueError(f"unknown axis {axis!r}: an axis is an integer or a name")
     try:
         return _AXES[axis]
     except KeyError:
         raise ValueError(f"unknown axis {axis!r}") from None
+
+
+def _choice(name, known, what):
+    """name, if it is a str among known; else a ValueError that names it and the
+    known ones, `unknown {what} {name!r}; known {what}s: ...`."""
+    if isinstance(name, str) and name in known:
+        return name
+    raise ValueError(f"unknown {what} {name!r}; known {what}s: {', '.join(known)}")
 
 
 def _count(value, name, floor):
@@ -237,7 +250,7 @@ class Poly3(ScalarField):
                 if i < 0 or j < 0 or k < 0:
                     raise ValueError(f"negative exponent in {key}")
                 v = float(val)
-                if v == 0.0:
+                if not v:
                     continue
                 if i + j + k > cap:
                     raise DegreeCapError(
@@ -317,7 +330,7 @@ class Poly3(ScalarField):
     def _result(self, coef, other=None):
         # `_made`, inline: every sum, difference and multiple ends here
         if 0.0 in coef.values():
-            coef = {k: v for k, v in coef.items() if v != 0.0}
+            coef = {k: v for k, v in coef.items() if v}
         p = object.__new__(Poly3)
         p.coef = coef
         p.cap = self.cap if other is None or other.cap <= self.cap else other.cap
@@ -403,7 +416,7 @@ class Poly3(ScalarField):
 def _made(coef, cap):
     """Poly3 holding an arithmetic result: exact zeros dropped, no checks."""
     if 0.0 in coef.values():
-        coef = {k: v for k, v in coef.items() if v != 0.0}
+        coef = {k: v for k, v in coef.items() if v}
     p = object.__new__(Poly3)
     p.coef = coef
     p.cap = cap

@@ -39,8 +39,9 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, curvature_from_jacobian,
-                       curvature_weights, elastic_weights, rotation_gradient, strain_curl)
+from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material,
+                       curvature_from_jacobian, curvature_weights, elastic_weights,
+                       rotation_gradient, strain_curl)
 from .stresses import assemble as assemble_stresses, equilibrium_residual
 from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
@@ -142,8 +143,7 @@ def assemble(basis, mat, formulation="curl"):
     G are formed from their symbols, weighted by the material, and the 1D
     moments of the basis factors, by `polyfield.symbol_grams`.
     """
-    if formulation not in ("curl", "axl"):
-        raise ValueError(f"unknown formulation {formulation!r}")
+    pf._choice(formulation, _ROUTES, "formulation")
     mat.validate_wellposed()
     curvature = strain_curl if formulation == "curl" else rotation_gradient
     stiffness = [*elastic_weights(mat)[1], *curvature_weights(mat)]

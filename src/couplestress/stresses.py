@@ -25,7 +25,7 @@ from functools import cached_property
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate,
+from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate,
                        curvature_from_jacobian, curvature_weights, elastic_weights)
 
 
@@ -105,13 +105,8 @@ def assemble(u, mat):
 
 def equilibrium_residual(state, f=None, formulation="curl"):
     """Div(total stress) + f as an exact polynomial vector field."""
-    if formulation == "curl":
-        total = state.total_curl
-    elif formulation == "axl":
-        total = state.total_axl
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
-    r = pf.mat_div(total)
+    curl = pf._choice(formulation, _ROUTES, "formulation") == "curl"
+    r = pf.mat_div(state.total_curl if curl else state.total_axl)
     if f is not None:
         r = r + f
     return r

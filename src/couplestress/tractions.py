@@ -28,9 +28,21 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
+from .energies import _ROUTES
 from .stresses import StressState
 
 _ORIENTATIONS = ("energetic", "appendix")
+
+
+def _is_axis(axis, axes=(0, 1, 2)):
+    """Whether axis is one of axes and of an integer type other than bool."""
+    return (isinstance(axis, (int, np.integer)) and axis.__class__ is not bool
+            and axis in axes)
+
+
+def _is_end(value):
+    """Whether value is 0 or 1 and no bool (both types equal to 0 and 1)."""
+    return value.__class__ not in pf._BOOLS and value in (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -41,9 +53,7 @@ class Face:
     value: float
 
     def __post_init__(self):
-        integer = isinstance(self.axis, (int, np.integer)) and not isinstance(self.axis, bool)
-        boolean = isinstance(self.value, (bool, np.bool_))
-        if not integer or self.axis not in (0, 1, 2) or boolean or self.value not in (0.0, 1.0):
+        if not (_is_axis(self.axis) and _is_end(self.value)):
             raise ValueError("face must be an integer axis in {0,1,2} at value 0 or 1, "
                              f"got axis {self.axis!r} at value {self.value!r}")
 
@@ -113,10 +123,8 @@ class TractionSet:
 def _route(state: StressState, face: Face, formulation, orientation):
     """T, B and the recorded orientation of one route on one face; T as a
     function of no arguments, so that readers of B alone do not form it."""
-    if formulation not in ("curl", "axl"):
-        raise ValueError(f"unknown formulation {formulation!r}")
-    if orientation not in _ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
+    pf._choice(formulation, _ROUTES, "formulation")
+    pf._choice(orientation, _ORIENTATIONS, "orientation")
     n = face.normal
     if formulation == "curl":
         B = tn.sym(surface_moment_matrix(state.m_curl, n))
@@ -265,7 +273,7 @@ def face_bump(face: Face, direction, cap=14):
     a = pf.Poly3.variable(face.axis, cap)
     axial = a if face.value == 1.0 else (1.0 - a)
     comps = [pf.Poly3.zero(cap)] * 3
-    comps[direction] = axial * prof
+    comps[pf._axis(direction)] = axial * prof
     return pf.as_vec(comps)
 
 
@@ -299,7 +307,7 @@ def surface_divergence_residual(face: Face, v):
 
 def edge_conormal(face: Face, edge_axis: int, edge_value: float):
     """Outward conormal of the face at its edge x[edge_axis] = edge_value in {0, 1}."""
-    if edge_axis not in face.tangential_axes or edge_value not in (0.0, 1.0):
+    if not (_is_axis(edge_axis, face.tangential_axes) and _is_end(edge_value)):
         raise ValueError(f"no edge of {face} at axis {edge_axis!r}, value {edge_value!r}: "
                          f"the axis must be one of {face.tangential_axes}, the value 0 or 1")
     nu = np.zeros(3)

@@ -102,7 +102,7 @@ def _integral(i):
 def _made(coef):
     """TrigPoly holding coef, keyed by dense index: exact zeros dropped."""
     if 0.0 in coef.values():
-        coef = {k: v for k, v in coef.items() if v != 0.0}
+        coef = {k: v for k, v in coef.items() if v}
     p = object.__new__(TrigPoly)
     p.coef = coef
     return p
@@ -128,7 +128,7 @@ class TrigPoly(ScalarField):
             else:
                 idx = tuple(idx)
                 clean[idx] = clean.get(idx, 0.0) + v
-        self.coef = {k: v for k, v in clean.items() if v != 0.0}
+        self.coef = {k: v for k, v in clean.items() if v}
 
     @classmethod
     def zero(cls):
@@ -212,7 +212,7 @@ class TrigPoly(ScalarField):
                     for c1, j in _factor_product(b, e):
                         for c2, k in _factor_product(c, f):
                             t = uv * c0 * c1 * c2
-                            if t != 0.0:  # a term that underflows adds no key
+                            if t:  # a term that underflows adds no key
                                 key = (i, j, k)
                                 coef[key] = get(key, 0.0) + t
         return _made(coef)

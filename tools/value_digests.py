@@ -1,0 +1,192 @@
+"""Print a SHA-256 digest of each library result listed in VALUES, one line per result.
+
+Usage (from the root of a checkout):
+
+    python3 tools/value_digests.py [SEED ...]      # seeds default to 0 3
+
+What `report_digests.py` does for the CLI reports this does for library
+values, with the package from the `src/` directory beside this script. Each
+VALUES entry is a name and a function of a seeded generator; its result is
+written to bytes (every float by its eight IEEE bytes, every field by its keys
+in dict order, its cap and its coefficients) and one line `name seed sha256`
+is printed per result. The results are:
+
+  - the functions whose field algebra is an object-array expression:
+    `conformal.conformal_map` and `relations_report` (also on a map with a NaN
+    coefficient), `lift.apply_flat` and `roundtrip_gap` with both sign
+    conventions, and `micromorphic.invariance_gap` of every model;
+  - the energy registry (each density and its box integral) and the five
+    writings of the curvature density, at a material away from the default;
+  - `stresses.structure_report`;
+  - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
+    block, a full block and one more trial);
+  - `solver.assemble` K and G at bubble orders 1 to 3;
+  - the order-2 coupled Grams of cosserat and microstrain.
+
+Two checkouts compute the same values bit for bit exactly when the two
+outputs are equal:
+
+    python3 tools/value_digests.py 0 3 > after.txt
+    (cd ../parent && python3 tools/value_digests.py 0 3) > before.txt
+    diff before.txt after.txt
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from couplestress import conformal as cf  # noqa: E402
+from couplestress import energies as en  # noqa: E402
+from couplestress import identities as idn  # noqa: E402
+from couplestress import lift as lf  # noqa: E402
+from couplestress import micromorphic as mm  # noqa: E402
+from couplestress import polyfield as pf  # noqa: E402
+from couplestress import solver as sv  # noqa: E402
+from couplestress import stresses as st  # noqa: E402
+from couplestress import tensors as tn  # noqa: E402
+
+MATERIAL = en.Material(mu=1.3, lam=0.7, alpha1=0.9, alpha2=0.4, ell=0.8)
+SOLVE_MATERIAL = en.Material(1.0, 1.0, 1.0, 0.0, 1.0)
+
+
+def encode(x, out):
+    """Append the bytes of x to the list out."""
+    if isinstance(x, dict):
+        out.append(b"{%d" % len(x))
+        for k, v in x.items():
+            encode(k, out)
+            encode(v, out)
+    elif isinstance(x, (list, tuple)):
+        out.append(b"[%d" % len(x))
+        for v in x:
+            encode(v, out)
+    elif isinstance(x, np.ndarray) and x.dtype == object:
+        out.append(repr(x.shape).encode())
+        for v in x.ravel():
+            encode(v, out)
+    elif isinstance(x, np.ndarray):
+        out += [f"{x.dtype.str}{x.shape}".encode(), np.ascontiguousarray(x).tobytes()]
+    elif isinstance(x, pf.ScalarField):
+        out.append(f"{type(x).__name__} {getattr(x, 'cap', None)} {list(x.coef)}".encode())
+        out.append(np.array(list(x.coef.values()), dtype=float).tobytes())
+    elif isinstance(x, (float, np.floating)):
+        out.append(struct.pack("<d", float(x)))
+    elif isinstance(x, (str, int, bool, type(None))):
+        out.append(repr(x).encode())
+    elif dataclasses.is_dataclass(x):
+        encode({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, out)
+    else:
+        raise TypeError(f"no encoding for {type(x).__name__}")
+
+
+def with_nan(field, key):
+    """The field with one more NaN coefficient in its first component."""
+    field = field.copy()
+    field[0] = field[0] + pf.Poly3({key: float("nan")})
+    return field
+
+
+def conformal_data(rng):
+    """W, p, A and b of one map, W and A skew."""
+    W = tn.anti(rng.uniform(-1.0, 1.0, 3))
+    A = tn.anti(rng.uniform(-1.0, 1.0, 3))
+    return W, float(rng.uniform(-1.0, 1.0)), A, rng.uniform(-1.0, 1.0, 3)
+
+
+def relations(rng, nan=False):
+    phi, params = cf.random_conformal(rng)
+    if nan:
+        phi = with_nan(phi, (0, 2, 1))
+    with np.errstate(invalid="ignore"):
+        return cf.relations_report(phi, params)
+
+
+def roundtrip(rng, nan=False):
+    u = pf.random_vec_field(rng, 4)
+    if nan:
+        u = with_nan(u, (2, 1, 1))
+    with np.errstate(invalid="ignore"):
+        return [lf.roundtrip_gap(u, signs) for signs in ("corrected", "printed")]
+
+
+def apply_flat(rng):
+    T = lf.second_gradient_flat(pf.random_vec_field(rng, 4))
+    return [lf.apply_flat(lf.reconstruction_matrix(signs) @ lf.halfsym_matrix(), T)
+            for signs in ("corrected", "printed")]
+
+
+def companion(model, rng):
+    return {"skew": pf.random_skw_mat_field, "sym": pf.random_sym_mat_field,
+            "full": pf.random_mat_field}[mm.companion_class(model)](rng, 3)
+
+
+def invariance_gaps(rng):
+    params = mm.MicromorphicParams(alpha3=0.2)
+    return [mm.invariance_gap(pf.random_vec_field(rng, 3), companion(model, rng), model,
+                              params, rng) for model in mm.MODEL_IDS]
+
+
+def registry(rng):
+    u = pf.random_vec_field(rng, 4)
+    return {name: en.evaluate_model(name, u, MATERIAL) for name in en.MODEL_REGISTRY}
+
+
+def suite(trials):
+    """The identity-suite reports (each with its magnitude) at trials trials."""
+    return lambda rng: idn.run_suite(int(rng.integers(1 << 30)), trials=trials, degree=4)
+
+
+def assembled(rng):
+    out = []
+    for order in (1, 2, 3):
+        asm = sv.assemble(sv.bubble_basis(order), SOLVE_MATERIAL)
+        out += [asm.K, asm.G]
+    return out
+
+
+def coupled_grams(rng):
+    basis = sv.bubble_basis(2)
+    return [mm.coupled_operator_grams(model, basis, mm.companion_basis(model, basis))
+            for model in ("cosserat", "microstrain")]
+
+
+VALUES = [
+    ("conformal_map", lambda rng: cf.conformal_map(*conformal_data(rng))),
+    ("relations_report", relations),
+    ("relations_report+nan", lambda rng: relations(rng, nan=True)),
+    ("apply_flat", apply_flat),
+    ("roundtrip_gap", roundtrip),
+    ("roundtrip_gap+nan", lambda rng: roundtrip(rng, nan=True)),
+    ("invariance_gap", invariance_gaps),
+    ("energy_registry", registry),
+    ("five_forms", lambda rng: en.five_form_densities(pf.random_vec_field(rng, 4), MATERIAL)),
+    ("structure_report",
+     lambda rng: st.structure_report(st.assemble(pf.random_vec_field(rng, 4), MATERIAL))),
+    ("identity_suite+trials1", suite(1)),
+    ("identity_suite+trials128", suite(128)),
+    ("identity_suite+trials129", suite(129)),
+    ("assemble_K_G", assembled),
+    ("coupled_grams+order2", coupled_grams),
+]
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    seeds = [int(s) for s in args] or [0, 3]
+    for seed in seeds:
+        for name, value in VALUES:
+            out = []
+            encode(value(np.random.default_rng(seed)), out)
+            print(f"{name} {seed} {hashlib.sha256(b''.join(out)).hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
