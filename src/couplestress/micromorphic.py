@@ -126,15 +126,26 @@ def _coupling_op(model):
     return lambda u, P: constrained_companion(model, u) - P
 
 
+def _reads(slot, op):
+    """op, marked as reading only one slot of (u, P): "u" or "P"."""
+    op.reads = slot
+    return op
+
+
 def _term_list(model, params):
-    """All quadratic terms (weight, op) of the model's density."""
-    terms = [(w, lambda u, P, part=part: part(pf.jac(u)))
+    """All quadratic terms (weight, op) of the model's density.
+
+    An op that reads one slot of (u, P) says so as `op.reads` (the elastic
+    parts "u", the curvature parts "P"); the coupling reads both and says
+    nothing.
+    """
+    terms = [(w, _reads("u", lambda u, P, part=part: part(pf.jac(u))))
              for w, (_, part) in zip(elastic_weights(params)[0], ELASTIC_PARTS)]
     terms.append((params.penalty, _coupling_op(model)))
     measure, parts = _model(model)[2:4]
     s = params.curvature_scale
     for w, (_, part) in zip(constants(params, parts), parts):
-        terms.append((s * w, lambda u, P, part=part: part(measure(P))))
+        terms.append((s * w, _reads("P", lambda u, P, part=part: part(measure(P)))))
     return terms
 
 
@@ -255,14 +266,27 @@ class CoupledState:
 def coupled_operator_grams(model, u_basis, companion_fields):
     """Gram matrix of every quadratic term, over the product basis.
 
-    The product basis is the pairs (u, 0) and (0, P); it is batched once
-    from the cubes of both stacks, each term operator runs once on the
-    batch, and its Gram is one `polyfield.batch_gram`. Returned keyed by
-    term index; weights are applied later so a penalty ladder reuses one
-    assembly.
+    The product basis is the pairs (u, 0) and (0, P), u first. Each term
+    operator runs once, on what it reads: an op marked `reads` "u" on the
+    u stack, one marked "P" on the companion stack (both batched on the
+    layout that holds both stacks), any other op on the product span. Its
+    Gram is one `polyfield.batch_gram`, placed in the block of its slot
+    with zeros elsewhere, as the Gram over the zero-padded product span
+    would hold it. Returned keyed by term index; weights are applied later
+    so a penalty ladder reuses one assembly.
     """
-    U, P = pf.product_batches(u_basis.fields, pf.FieldStack.of(companion_fields))
-    return [pf.batch_gram(op(U, P)) for _, op in _term_list(model, MicromorphicParams())]
+    u_stack, P_stack = u_basis.fields, pf.FieldStack.of(companion_fields)
+    nu, n = len(u_stack), len(u_stack) + len(P_stack)
+    U, P = pf.stack_batches(u_stack, P_stack)
+    span = {"u": (U, None, slice(nu)), "P": (None, P, slice(nu, n)),
+            None: (*pf.product_batches(u_stack, P_stack), slice(n))}
+    grams = []
+    for _, op in _term_list(model, MicromorphicParams()):
+        u, Q, block = span[getattr(op, "reads", None)]
+        G = np.zeros((n, n))
+        G[block, block] = pf.batch_gram(op(u, Q))
+        grams.append(G)
+    return grams
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -14,7 +14,11 @@ on one axis, read once per family, layout and axis from the family's 1D
 derivative matrix. On a batch of `DerivativeSymbol` cubes the same
 operators give their own constant-coefficient symbols, from which
 `symbol_grams` forms weighted sums of the Grams of their images over a
-basis of separable scalars without forming the images.
+basis of separable scalars without forming the images. Grams of stacked
+cubes (`dense_gram`, and `batch_gram` on batches) pair only the fields that
+hold a coefficient, so the zero slots of a product span cost nothing, and
+the Gram of one stack is formed from its upper blocks and mirrored, so it
+is symmetric bit for bit.
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -65,6 +69,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -633,9 +638,24 @@ def to_dense(p, D):
 
 
 def from_dense(cube, cap=DEFAULT_CAP):
-    """Poly3 from the nonzero entries of a dense cube."""
+    """Poly3 from the nonzero entries of a dense cube, keyed in np.nonzero order.
+
+    What Poly3(dict) would check is checked on the index arrays at once:
+    a key past the cap raises the same DegreeCapError, naming the first
+    such key. The values are Python floats as float() makes them (an entry
+    of another dtype that rounds to 0.0 is dropped); NaN and inf are kept.
+    """
     idx = np.nonzero(cube)
-    return Poly3(dict(zip(zip(*(i.tolist() for i in idx)), cube[idx].tolist())), cap)
+    vals = cube[idx]
+    if vals.dtype != np.float64:
+        vals = np.array([float(v) for v in vals], dtype=float)
+        kept = vals != 0.0
+        idx, vals = tuple(i[kept] for i in idx), vals[kept]
+    over = idx[0] + idx[1] + idx[2] > cap
+    if over.any():
+        key = tuple(int(i[over.argmax()]) for i in idx)
+        raise DegreeCapError(f"monomial {key} exceeds degree cap {cap}")
+    return _made(dict(zip(zip(*(i.tolist() for i in idx)), vals.tolist())), int(cap))
 
 
 def dense_stack(rows, D=None):
@@ -660,20 +680,46 @@ def dense_gram(X, M, Y=None):
 
     X has shape (n, m, D, D, D) and M is the 1D moment matrix of its scalar
     type; the result is G[a, b] = sum_m of the integral of X[a, m] * Y[b, m]
-    over the unit box. Each block of GRAM_BLOCK rows of X takes one moment
-    contraction per axis and then one matrix product with the flattened Y,
-    so the work space stays the size of one block.
+    over the unit box, for a Y of the shape of X past its first axis (a
+    ValueError names both shapes otherwise). Only the fields that hold a
+    nonzero coefficient (a NaN counts) are paired: the rows and columns of
+    all-zero fields are exact zeros; when no field is all zero, X and Y are
+    paired in place, since copying the held fields out and scattering their
+    Gram back would cost about 15% of a Gram that skips nothing. Each block
+    of GRAM_BLOCK paired rows of X takes one moment contraction per axis
+    and then one matrix product with the flattened Y, so the work space
+    stays the size of one block. Without Y a block is paired only with the
+    columns from its own first row on, and the lower triangle is the mirror
+    of the upper one, so G is symmetric bit for bit.
     """
-    if Y is None:
-        Y = X
+    other = X if Y is None else Y
+    if other.shape[1:] != X.shape[1:]:
+        raise ValueError(f"dense_gram pairs fields of one shape and layout, "
+                         f"got X {X.shape} and Y {Y.shape}")
+    size = math.prod(X.shape[1:])
+    xs = np.flatnonzero(X.reshape(len(X), size).any(axis=1))
+    ys = xs if Y is None else np.flatnonzero(Y.reshape(len(Y), size).any(axis=1))
+    if len(xs) == len(X) and len(ys) == len(other):
+        return _paired_gram(X, M, Y)
+    G = np.zeros((len(X), len(other)))
+    G[np.ix_(xs, ys)] = _paired_gram(X[xs], M, None if Y is None else Y[ys])
+    return G
+
+
+def _paired_gram(X, M, Y):
+    """`dense_gram` of fields that all hold a nonzero coefficient, blocked."""
     n, m, D = X.shape[:3]
-    Yf = Y.reshape(len(Y), -1)
-    G = np.empty((n, len(Y)))
+    other = X if Y is None else Y
+    Yf = other.reshape(len(other), math.prod(X.shape[1:]))
+    G = np.empty((n, len(Yf)))
     for a in range(0, n, GRAM_BLOCK):
         T = X[a:a + GRAM_BLOCK] @ M
         T = M.T @ T
         T = M.T @ T.reshape(len(T), m, D, D * D)
-        G[a:a + GRAM_BLOCK] = T.reshape(len(T), -1) @ Yf.T
+        cols = slice(a if Y is None else 0, None)
+        G[a:a + GRAM_BLOCK, cols] = T.reshape(len(T), -1) @ Yf[cols].T
+    if Y is None:  # below the diagonal only the diagonal blocks were formed
+        G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
     return G
 
 
@@ -910,7 +956,9 @@ def batch_gram(rows, other=None):
     rows and other (which defaults to rows) each hold m DenseBatch of one
     family, as one batch or an array or list of them; entry [a, b] sums the
     integrals of field a of rows[q] times field b of other[q] over q, by
-    `dense_gram` on the smallest layout that holds both.
+    `dense_gram` on the smallest layout that holds both: the fields that
+    are zero in every entry are not paired, and without other the Gram is
+    symmetric bit for bit.
     """
     rows = list(np.ravel(rows))
     other = None if other is None else list(np.ravel(other))
@@ -997,7 +1045,7 @@ class FieldStack:
 
 
 def stack_batches(*stacks):
-    """Equally long stacks, each as one field of DenseBatch entries, on one layout."""
+    """Stacks, each as one field of DenseBatch entries, on the layout that holds them all."""
     D = max(s.cubes.shape[-1] for s in stacks)
     return [s.batch(D) for s in stacks]
 

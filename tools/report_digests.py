@@ -12,8 +12,10 @@ with the material mu 1.3, lam 0.7, alpha1 0.9, alpha2 0.4, ell 0.8, so every
 density is also checked away from the default material, and
 `verify-identities` once more with `--trials 300` and the config
 {"degree": 5}, so the suite runs three blocks of trials, the last one
-partial. Each RUNS entry is a label, a subcommand, a config (or None) and
-extra command-line arguments; eleven runs a seed. The report goes to a
+partial, and `limit-study` once more with the config {"basis_order": 3}, the
+order whose coupled Grams carry the most roundoff. Each RUNS entry is a
+label, a subcommand, a config (or None) and extra command-line arguments;
+twelve runs a seed. The report goes to a
 temporary file (`--out`), and one line `label seed sha256` is printed per
 report (a default run's label is its subcommand). Two checkouts produce the same
 reports byte for byte exactly when the two outputs are equal, so a
@@ -47,7 +49,8 @@ RUNS = [(name, name, None, ()) for name in COMMANDS] + [
     ("conformal-report+material+scale", "conformal-report",
      {"material": MATERIAL, "scale": 0.5}, ()),
     ("verify-identities+trials300+degree5", "verify-identities", {"degree": 5},
-     ("--trials", "300"))]
+     ("--trials", "300")),
+    ("limit-study+order3", "limit-study", {"basis_order": 3}, ())]
 
 
 def digest(command, seed, config, scratch, extra=()):

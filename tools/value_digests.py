@@ -21,7 +21,10 @@ is printed per result. The results are:
   - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
     block, a full block and one more trial);
   - `solver.assemble` K and G at bubble orders 1 to 3;
-  - the order-2 coupled Grams of cosserat and microstrain.
+  - the order-2 coupled Grams of cosserat and microstrain, and the order-3
+    coupled Grams of cosserat;
+  - the kept rank of the companion span of each companion class (cosserat
+    skew, microstrain symmetric, relaxed full) at bubble orders 1 to 3.
 
 Two checkouts compute the same values bit for bit exactly when the two
 outputs are equal:
@@ -151,10 +154,17 @@ def assembled(rng):
     return out
 
 
-def coupled_grams(rng):
-    basis = sv.bubble_basis(2)
-    return [mm.coupled_operator_grams(model, basis, mm.companion_basis(model, basis))
-            for model in ("cosserat", "microstrain")]
+def coupled_grams(models, order):
+    def grams(rng):
+        basis = sv.bubble_basis(order)
+        return [mm.coupled_operator_grams(model, basis, mm.companion_basis(model, basis))
+                for model in models]
+    return grams
+
+
+def kept_ranks(rng):
+    return [len(mm.companion_basis(model, sv.bubble_basis(order)))
+            for order in (1, 2, 3) for model in ("cosserat", "microstrain", "relaxed")]
 
 
 VALUES = [
@@ -173,7 +183,9 @@ VALUES = [
     ("identity_suite+trials128", suite(128)),
     ("identity_suite+trials129", suite(129)),
     ("assemble_K_G", assembled),
-    ("coupled_grams+order2", coupled_grams),
+    ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
+    ("coupled_grams+order3", coupled_grams(("cosserat",), 3)),
+    ("companion_kept_ranks", kept_ranks),
 ]
 
 
