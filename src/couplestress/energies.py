@@ -27,7 +27,8 @@ Each function that takes a field reads its derived fields (J, the strain
 curl, grad curl u, grad div u, the second and strain gradients, ...) from
 one state, `_FieldState`, each by the formula of its operator. Inside a call scope
 (`_derived_fields`, a contextvars registry that the identity suite, the
-conformal reports and the CLI open around one field) every function reads
+conformal reports and the CLI open around one field, and the coupled Grams
+of `micromorphic` around the u and companion stacks) every function reads
 the same state of a registered field, so the call derives each field once;
 outside one, every call derives from scratch. No state outlives its scope:
 nothing is cached across calls.
@@ -153,13 +154,14 @@ class _FieldState:
     """The derived fields of one field F, each formed by its `polyfield` operator.
 
     F is a vector field u, or a matrix field that stands in for J = grad u
-    (as the identity suite's p does). The fields that several readers of one
-    scope take (J, the strain curl, grad curl u, grad div u, the second and
-    strain gradients, the fully symmetric part of the second gradient, Curl J
-    and grad axl F of a skew F) are kept from their first read. The one-step
-    forms of a kept field (the rotation gradient, axl skw J, curl u, div u
-    and INC(J)) are formed on each read: keeping them gained no time in the
-    identity suite, and each would hold one more field over a block.
+    (as the identity suite's p and a micromorphic companion do). The fields
+    that several readers of one scope take (J, the strain curl, grad curl u,
+    grad div u, the second and strain gradients, the fully symmetric part of
+    the second gradient, Curl J and grad axl F of a skew F) are kept from
+    their first read. The one-step forms of a kept field (the rotation
+    gradient, axl skw J, curl u, div u and INC(J)) are formed on each read:
+    keeping them gained no time in the identity suite, and each would hold
+    one more field over a block.
     """
 
     def __init__(self, F):
@@ -201,7 +203,8 @@ class _FieldState:
 
     @cached_property
     def grad_axl(self):
-        """grad(axl F) of a skew matrix field F (the identity suite's A)."""
+        """grad(axl F) of a skew matrix field F (the identity suite's A, a cosserat
+        companion)."""
         return pf.jac(tn.axl(self.field))
 
     @property
@@ -341,8 +344,10 @@ def five_form_densities(u, mat):
             for name, measure, f, parts in _FIVE_FORMS}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def equivalence_report(u, mat):
-    """Max pairwise coefficient difference between the five densities."""
+    """Max pairwise coefficient difference between the five densities; a field
+    with a non-finite coefficient gives a non-finite difference."""
     forms = five_form_densities(u, mat)
     names = sorted(forms)
     pairwise = {}

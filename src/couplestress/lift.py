@@ -106,8 +106,10 @@ def apply_flat(M, field_flat):
                          pf.Poly3.zero()) for row in M], dtype=object)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def roundtrip_gap(u, signs="corrected"):
-    """Max coefficient of A(H(T)) - T on a genuine second gradient."""
+    """Max coefficient of A(H(T)) - T on a genuine second gradient; a field with
+    a non-finite coefficient gives a non-finite gap."""
     A = reconstruction_matrix(signs)
     H = halfsym_matrix()
     T = second_gradient_flat(u)

@@ -29,24 +29,27 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate, constants,
-                       curvature_weights, elastic_weights)
+from .energies import (CURVATURE_PARTS, ELASTIC_PARTS, Material, _derived_fields, _state,
+                       conjugate, constants, curvature_weights, elastic_weights)
 from .solver import Basis, assemble as assemble_displacement
 from .solver import finite, load_vector, refined_solve, solve as solve_displacement
 
 
-def _grad_axl(P):
-    return pf.jac(tn.axl(P))
-
+# The curvature measures of a companion P, read from its derived-field state
+# (`energies._state`), which takes a matrix field for J: Curl J is Curl P.
+_grad_axl = attrgetter("grad_axl")  # grad(axl P)
+_curl = attrgetter("curl_J")  # Curl P, row by row
+_curl_sym = attrgetter("k_curl")  # Curl(sym P)
 
 # Each relaxation, stated once: companion class (`_CLASSES`); coupling, the
 # constraint "image" of u or the "strain" sym(grad u) minus the companion;
-# the curvature measure k of the companion and its parts (key, projection),
+# the curvature measure k of the companion's state and its parts (key, projection),
 # each adding mu ell^2 w |part(k)|^2 to the density and its conjugate to the
 # hyperstress; the companion's shift when u gains a rigid rotation; and the
 # solver status "solve", "experimental" (opt-in) or "evaluator" (none).
@@ -54,14 +57,12 @@ _MODELS = {
     "cosserat": ("skew", "image", _grad_axl,
                  (CURVATURE_PARTS[0], ("alpha2", tn.trace), CURVATURE_PARTS[1]),
                  "same", "solve"),
-    "microstrain": ("sym", "image", pf.mat_curl, CURVATURE_PARTS, "none", "solve"),
-    "micromorphic": ("full", "image", lambda P: pf.mat_curl(tn.sym(P)), CURVATURE_PARTS, "same",
-                     "solve"),
-    "relaxed": ("full", "strain", pf.mat_curl, CURVATURE_PARTS + (("alpha3", tn.trace),),
+    "microstrain": ("sym", "image", _curl, CURVATURE_PARTS, "none", "solve"),
+    "micromorphic": ("full", "image", _curl_sym, CURVATURE_PARTS, "same", "solve"),
+    "relaxed": ("full", "strain", _curl, CURVATURE_PARTS + (("alpha3", tn.trace),),
                 "independent", "solve"),
-    "further-relaxed": ("full", "strain", pf.mat_curl, CURVATURE_PARTS, "independent",
-                        "solve"),
-    "sym-curl-p": ("full", "strain", pf.mat_curl, (("alpha1", tn.sym),), "independent",
+    "further-relaxed": ("full", "strain", _curl, CURVATURE_PARTS, "independent", "solve"),
+    "sym-curl-p": ("full", "strain", _curl, (("alpha1", tn.sym),), "independent",
                    "experimental"),
     "degenerate-cosserat": ("skew", "image", _grad_axl, CURVATURE_PARTS[1:], "same",
                             "evaluator"),
@@ -122,7 +123,7 @@ def _check_companion(model, P):
 
 def _coupling_op(model):
     if _model(model)[1] == "strain":
-        return lambda u, P: tn.sym(pf.jac(u) - P)
+        return lambda u, P: tn.sym(_state(u).jacobian - P)
     return lambda u, P: constrained_companion(model, u) - P
 
 
@@ -137,15 +138,18 @@ def _term_list(model, params):
 
     An op that reads one slot of (u, P) says so as `op.reads` (the elastic
     parts "u", the curvature parts "P"); the coupling reads both and says
-    nothing.
+    nothing. The elastic parts read J = grad u, and the curvature parts the
+    measure k, from the derived-field state of their slot, so in a scope
+    that registers it (`energies._derived_fields`) the ops share one J and
+    one k.
     """
-    terms = [(w, _reads("u", lambda u, P, part=part: part(pf.jac(u))))
+    terms = [(w, _reads("u", lambda u, P, part=part: part(_state(u).jacobian)))
              for w, (_, part) in zip(elastic_weights(params)[0], ELASTIC_PARTS)]
     terms.append((params.penalty, _coupling_op(model)))
     measure, parts = _model(model)[2:4]
     s = params.curvature_scale
     for w, (_, part) in zip(constants(params, parts), parts):
-        terms.append((s * w, _reads("P", lambda u, P, part=part: part(measure(P)))))
+        terms.append((s * w, _reads("P", lambda u, P, part=part: part(measure(_state(P))))))
     return terms
 
 
@@ -153,9 +157,10 @@ def micromorphic_energy(u, P, model, params):
     """Exact polynomial energy density of one model at one coupled state."""
     _check_companion(model, P)
     terms = []
-    for w, op in _term_list(model, params):
-        val = np.ravel(op(u, P))  # a scalar term is one entry
-        terms.append((val @ val) * w)
+    with _derived_fields(u, P):  # the terms share one J = grad u and one k of P
+        for w, op in _term_list(model, params):
+            val = np.ravel(op(u, P))  # a scalar term is one entry
+            terms.append((val @ val) * w)
     return np.sum(terms)
 
 
@@ -173,7 +178,7 @@ def hyperstress(u, P, model, params):
     """
     _check_companion(model, P)
     measure, parts = _model(model)[2:4]
-    return conjugate(measure(P), curvature_weights(params, parts), parts)
+    return conjugate(measure(_state(P)), curvature_weights(params, parts), parts)
 
 
 # --- invariances ----------------------------------------------------------------
@@ -200,7 +205,7 @@ def invariance_gap(u, P, model, params, rng):
 
 def constrained_companion(model, u):
     """Image of u under the constraint the penalty enforces."""
-    return _CLASSES[companion_class(model)][0](pf.jac(u))
+    return _CLASSES[companion_class(model)][0](_state(u).jacobian)
 
 
 # --- coupled Galerkin solver ------------------------------------------------
@@ -246,8 +251,9 @@ def companion_basis(model, u_basis: Basis):
     shaped = S[:, None, None, None] * np.array(gens)[None, ..., None, None, None]
     X = np.concatenate([shaped.reshape((-1, 3, 3) + (D,) * 3),
                         np.stack(images, axis=1).reshape((len(U), 3, 3) + (D,) * 3)])
-    # prune to an orthonormal independent set
-    gram = pf.dense_gram(X.reshape(len(X), 9, D, D, D), U.family.dense_moments(D))
+    # prune to an orthonormal independent set; the Gram pairs the independent
+    # entries of the class once
+    gram = pf.dense_gram(X, U.family.dense_moments(D))
     vals, vecs = scipy.linalg.eigh(gram)
     keep = vals > len(vals) * np.finfo(float).eps * vals[-1]
     cols = vecs[:, keep]
@@ -269,23 +275,35 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     The product basis is the pairs (u, 0) and (0, P), u first. Each term
     operator runs once, on what it reads: an op marked `reads` "u" on the
     u stack, one marked "P" on the companion stack (both batched on the
-    layout that holds both stacks), any other op on the product span. Its
-    Gram is one `polyfield.batch_gram`, placed in the block of its slot
-    with zeros elsewhere, as the Gram over the zero-padded product span
-    would hold it. Returned keyed by term index; weights are applied later
-    so a penalty ladder reuses one assembly.
+    layout that holds both stacks), any other op on the product span. Both
+    stacks are registered in one call scope (`energies._derived_fields`),
+    so the elastic ops share one Jacobian of the u stack and the curvature
+    ops one curvature measure of the companion stack; a stack's state is
+    dropped once the last op of its slot has run. Each Gram is one
+    `polyfield.batch_gram`, which pairs the independent entries of a
+    symmetric or skew image once, placed in the block of its slot with
+    zeros elsewhere, as the Gram over the zero-padded product span would
+    hold it. Returned keyed by term index; weights are applied later so a
+    penalty ladder reuses one assembly.
     """
     u_stack, P_stack = u_basis.fields, pf.FieldStack.of(companion_fields)
     nu, n = len(u_stack), len(u_stack) + len(P_stack)
     U, P = pf.stack_batches(u_stack, P_stack)
     span = {"u": (U, None, slice(nu)), "P": (None, P, slice(nu, n)),
             None: (*pf.product_batches(u_stack, P_stack), slice(n))}
+    terms = _term_list(model, MicromorphicParams())
+    last = {getattr(op, "reads", None): k for k, (_, op) in enumerate(terms)}
     grams = []
-    for _, op in _term_list(model, MicromorphicParams()):
-        u, Q, block = span[getattr(op, "reads", None)]
-        G = np.zeros((n, n))
-        G[block, block] = pf.batch_gram(op(u, Q))
-        grams.append(G)
+    with _derived_fields(U, P) as scope:
+        for k, (_, op) in enumerate(terms):
+            reads = getattr(op, "reads", None)
+            u, Q, block = span[reads]
+            G = np.zeros((n, n))
+            G[block, block] = pf.batch_gram(op(u, Q))
+            grams.append(G)
+            if last[reads] == k:  # the slot's ops are done: its state goes
+                scope.drop(u)
+                scope.drop(Q)
     return grams
 
 

@@ -18,7 +18,9 @@ basis of separable scalars without forming the images. Grams of stacked
 cubes (`dense_gram`, and `batch_gram` on batches) pair only the fields that
 hold a coefficient, so the zero slots of a product span cost nothing, and
 the Gram of one stack is formed from its upper blocks and mirrored, so it
-is symmetric bit for bit.
+is symmetric bit for bit; a stack of 3x3 fields paired with itself pairs
+each independent entry once (a symmetric or skew pair of entries once,
+with weight 2, an all-zero entry not at all).
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -678,44 +680,77 @@ GRAM_BLOCK = 32  # rows of X contracted at once by dense_gram
 def dense_gram(X, M, Y=None):
     """Pairwise box integrals of stacked dense fields.
 
-    X has shape (n, m, D, D, D) and M is the 1D moment matrix of its scalar
-    type; the result is G[a, b] = sum_m of the integral of X[a, m] * Y[b, m]
-    over the unit box, for a Y of the shape of X past its first axis (a
-    ValueError names both shapes otherwise). Only the fields that hold a
-    nonzero coefficient (a NaN counts) are paired: the rows and columns of
-    all-zero fields are exact zeros; when no field is all zero, X and Y are
-    paired in place, since copying the held fields out and scattering their
-    Gram back would cost about 15% of a Gram that skips nothing. Each block
-    of GRAM_BLOCK paired rows of X takes one moment contraction per axis
-    and then one matrix product with the flattened Y, so the work space
-    stays the size of one block. Without Y a block is paired only with the
-    columns from its own first row on, and the lower triangle is the mirror
-    of the upper one, so G is symmetric bit for bit.
+    X has shape (n, *entries, D, D, D), entries (m,) or (3, 3), and M is the
+    1D moment matrix of its scalar type; the result is G[a, b] = sum over the
+    entries q of the integral of X[a, q] * Y[b, q] over the unit box, for a
+    Y of the shape of X past its first axis (a ValueError names both shapes
+    otherwise). Only the fields that hold a nonzero coefficient (a NaN
+    counts) are paired: the rows and columns of all-zero fields are exact
+    zeros; when no field is all zero, X and Y are paired in place (copying
+    the held fields out and scattering their Gram back cost 0.3 and 0.4 ms
+    of a 4.7 ms order-3 coupling Gram). Without Y, a stack of 3x3 fields
+    pairs only its independent entries (`_folded_entries`), each symmetric
+    or skew pair of entries once with weight 2. Each block of GRAM_BLOCK
+    paired rows of X takes one moment contraction per axis, is weighted
+    entry by entry (a factor 2 is exact in binary), and then takes one
+    matrix product with the flattened Y, so the work space stays the size
+    of one block. Without Y a block is paired only with the columns from its
+    own first row on, and the lower triangle is the mirror of the upper one,
+    so G is symmetric bit for bit.
     """
     other = X if Y is None else Y
     if other.shape[1:] != X.shape[1:]:
         raise ValueError(f"dense_gram pairs fields of one shape and layout, "
                          f"got X {X.shape} and Y {Y.shape}")
-    size = math.prod(X.shape[1:])
-    xs = np.flatnonzero(X.reshape(len(X), size).any(axis=1))
-    ys = xs if Y is None else np.flatnonzero(Y.reshape(len(Y), size).any(axis=1))
-    if len(xs) == len(X) and len(ys) == len(other):
-        return _paired_gram(X, M, Y)
-    G = np.zeros((len(X), len(other)))
-    G[np.ix_(xs, ys)] = _paired_gram(X[xs], M, None if Y is None else Y[ys])
-    return G
+    D, entries = X.shape[-1], X.shape[1:-3]
+    m = math.prod(entries)
+    held = X.reshape(len(X), m, D**3).any(axis=2)  # per field and entry
+    xs = np.flatnonzero(held.any(axis=1))
+    ys = xs if Y is None else np.flatnonzero(Y.reshape(len(Y), m * D**3).any(axis=1))
+    if len(xs) < len(X) or len(ys) < len(other):  # pair the held fields among zeros
+        G = np.zeros((len(X), len(other)))
+        G[np.ix_(xs, ys)] = dense_gram(X[xs], M, None if Y is None else Y[ys])
+        return G
+    X = X.reshape(len(X), m, D, D, D)
+    if Y is not None:
+        return _paired_gram(X, M, Y.reshape((len(Y),) + X.shape[1:]), None)
+    q, w = _folded_entries(X, held.any(axis=0)) if entries == (3, 3) else (slice(None), None)
+    return _paired_gram(X[:, q], M, None, w)
 
 
-def _paired_gram(X, M, Y):
-    """`dense_gram` of fields that all hold a nonzero coefficient, blocked."""
+def _folded_entries(X, held):
+    """The entries of a stack X (n, 9, D, D, D) of 3x3 fields that its Gram
+    pairs, and their weights; held tells which entries hold a coefficient in
+    some field.
+
+    An entry that is zero in every field is dropped. Of the entries (i, j)
+    and (j, i), i < j, that both hold a coefficient and are equal, or exact
+    negatives, coefficient by coefficient in every field (so a NaN in
+    either keeps both), (j, i) is dropped and (i, j) weighs 2: its products
+    are those of (j, i). Every other entry weighs 1.
+    """
+    w = held.astype(float)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a, b = 3 * i + j, 3 * j + i
+        if w[a] and w[b] and ((X[:, a] == X[:, b]).all() or (X[:, a] == -X[:, b]).all()):
+            w[a], w[b] = 2.0, 0.0
+    q = np.flatnonzero(w)
+    return q, w[q]
+
+
+def _paired_gram(X, M, Y, w):
+    """`dense_gram` of fields (n, m, D, D, D) that all hold a nonzero coefficient,
+    blocked, the entries of X weighted by w (none: all 1)."""
     n, m, D = X.shape[:3]
     other = X if Y is None else Y
-    Yf = other.reshape(len(other), math.prod(X.shape[1:]))
+    Yf = other.reshape(len(other), m * D**3)
     G = np.empty((n, len(Yf)))
     for a in range(0, n, GRAM_BLOCK):
         T = X[a:a + GRAM_BLOCK] @ M
         T = M.T @ T
         T = M.T @ T.reshape(len(T), m, D, D * D)
+        if w is not None:
+            T *= w[:, None, None]
         cols = slice(a if Y is None else 0, None)
         G[a:a + GRAM_BLOCK, cols] = T.reshape(len(T), -1) @ Yf[cols].T
     if Y is None:  # below the diagonal only the diagonal blocks were formed
@@ -958,8 +993,21 @@ def batch_gram(rows, other=None):
     integrals of field a of rows[q] times field b of other[q] over q, by
     `dense_gram` on the smallest layout that holds both: the fields that
     are zero in every entry are not paired, and without other the Gram is
-    symmetric bit for bit.
+    symmetric bit for bit. A 3x3 image paired with itself reaches
+    `dense_gram` as 3x3 fields, which pair only their independent entries
+    (three of a skew image, six of a symmetric one).
     """
+    square = other is None and np.shape(rows) == (3, 3)
+    # rebound to their stacks, so that no batch of an image is held through the pairing
+    rows, other, M = _dense_stacks(rows, other)
+    if square:
+        rows = rows.reshape((len(rows), 3, 3) + rows.shape[2:])
+    return dense_gram(rows, M, other)
+
+
+def _dense_stacks(rows, other):
+    """The batches of rows and other (or None) as (n, m, D, D, D) stacks on the
+    smallest layout that holds both, and the moment matrix of their family."""
     rows = list(np.ravel(rows))
     other = None if other is None else list(np.ravel(other))
     batches = rows + (other or [])
@@ -971,8 +1019,7 @@ def batch_gram(rows, other=None):
     def stack(row):
         return np.stack([_padded(p.coef, D) for p in row], axis=1)
 
-    Y = None if other is None else stack(other)
-    return dense_gram(stack(rows), family.dense_moments(D), Y)
+    return stack(rows), None if other is None else stack(other), family.dense_moments(D)
 
 
 def box_gram(rows, other=None):

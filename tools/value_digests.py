@@ -24,7 +24,10 @@ is printed per result. The results are:
   - the order-2 coupled Grams of cosserat and microstrain, and the order-3
     coupled Grams of cosserat;
   - the kept rank of the companion span of each companion class (cosserat
-    skew, microstrain symmetric, relaxed full) at bubble orders 1 to 3.
+    skew, microstrain symmetric, relaxed full) at bubble orders 1 to 3;
+  - the coefficient cubes of the companion spans of cosserat and microstrain
+    at bubble orders 2 and 3, so that a roundoff move of a span (of its
+    candidate Gram or eigenvectors) shows as one line.
 
 Two checkouts compute the same values bit for bit exactly when the two
 outputs are equal:
@@ -162,6 +165,13 @@ def coupled_grams(models, order):
     return grams
 
 
+def companion_spans(order):
+    def spans(rng):
+        basis = sv.bubble_basis(order)
+        return [mm.companion_basis(model, basis).cubes for model in ("cosserat", "microstrain")]
+    return spans
+
+
 def kept_ranks(rng):
     return [len(mm.companion_basis(model, sv.bubble_basis(order)))
             for order in (1, 2, 3) for model in ("cosserat", "microstrain", "relaxed")]
@@ -186,6 +196,8 @@ VALUES = [
     ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
     ("coupled_grams+order3", coupled_grams(("cosserat",), 3)),
     ("companion_kept_ranks", kept_ranks),
+    ("companion_span+order2", companion_spans(2)),
+    ("companion_span+order3", companion_spans(3)),
 ]
 
 
