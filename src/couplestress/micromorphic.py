@@ -280,10 +280,9 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     so the elastic ops share one Jacobian of the u stack and the curvature
     ops one curvature measure of the companion stack; a stack's state is
     dropped once the last op of its slot has run. Each Gram is one
-    `polyfield.batch_gram`, which pairs the independent entries of a
-    symmetric or skew image once, placed in the block of its slot with
-    zeros elsewhere, as the Gram over the zero-padded product span would
-    hold it. Returned keyed by term index; weights are applied later so a
+    `polyfield.batch_gram`, placed in the block of its slot with zeros
+    elsewhere, as the Gram over the zero-padded product span would hold
+    it. Returned keyed by term index; weights are applied later so a
     penalty ladder reuses one assembly.
     """
     u_stack, P_stack = u_basis.fields, pf.FieldStack.of(companion_fields)
@@ -309,7 +308,10 @@ def coupled_operator_grams(model, u_basis, companion_fields):
 
 @np.errstate(over="ignore", invalid="ignore")
 def coupled_stiffness(model, params, grams):
-    K = sum(2.0 * w * G for (w, _), G in zip(_term_list(model, params), grams))
+    terms = _term_list(model, params)
+    if len(grams) != len(terms):
+        raise ValueError(f"{model} has {len(terms)} coupled terms, got {len(grams)} Grams")
+    K = sum(2.0 * w * G for (w, _), G in zip(terms, grams))
     return finite(0.5 * (K + K.T), "stiffness", params)
 
 

@@ -15,12 +15,10 @@ derivative matrix. On a batch of `DerivativeSymbol` cubes the same
 operators give their own constant-coefficient symbols, from which
 `symbol_grams` forms weighted sums of the Grams of their images over a
 basis of separable scalars without forming the images. Grams of stacked
-cubes (`dense_gram`, and `batch_gram` on batches) pair only the fields that
-hold a coefficient, so the zero slots of a product span cost nothing, and
-the Gram of one stack is formed from its upper blocks and mirrored, so it
-is symmetric bit for bit; a stack of 3x3 fields paired with itself pairs
-each independent entry once (a symmetric or skew pair of entries once,
-with weight 2, an all-zero entry not at all).
+cubes (`dense_gram`, and `batch_gram` on batches) take one path: one index
+gathers the held fields and, for 3x3 fields paired with themselves, the
+independent entries (a symmetric or skew pair once, weight 2); one blocked
+pairing forms their Gram, symmetric bit for bit, into a zero Gram.
 
 Poly3 and `trig.TrigPoly` are the two exact scalar families. Both key their
 dicts by per-axis dense index (for Poly3 the exponent) and share
@@ -674,7 +672,7 @@ def dense_stack(rows, D=None):
     return X
 
 
-GRAM_BLOCK = 32  # rows of X contracted at once by dense_gram
+GRAM_BLOCK = 32  # rows of X contracted at once by _paired_gram
 
 
 def dense_gram(X, M, Y=None):
@@ -684,38 +682,33 @@ def dense_gram(X, M, Y=None):
     1D moment matrix of its scalar type; the result is G[a, b] = sum over the
     entries q of the integral of X[a, q] * Y[b, q] over the unit box, for a
     Y of the shape of X past its first axis (a ValueError names both shapes
-    otherwise). Only the fields that hold a nonzero coefficient (a NaN
-    counts) are paired: the rows and columns of all-zero fields are exact
-    zeros; when no field is all zero, X and Y are paired in place (copying
-    the held fields out and scattering their Gram back cost 0.3 and 0.4 ms
-    of a 4.7 ms order-3 coupling Gram). Without Y, a stack of 3x3 fields
-    pairs only its independent entries (`_folded_entries`), each symmetric
-    or skew pair of entries once with weight 2. Each block of GRAM_BLOCK
-    paired rows of X takes one moment contraction per axis, is weighted
-    entry by entry (a factor 2 is exact in binary), and then takes one
-    matrix product with the flattened Y, so the work space stays the size
-    of one block. Without Y a block is paired only with the columns from its
-    own first row on, and the lower triangle is the mirror of the upper one,
-    so G is symmetric bit for bit.
+    otherwise). Every stack takes one path: one index gathers the fields
+    that hold a nonzero coefficient (a NaN counts) and, without Y, the
+    independent entries of 3x3 fields (`_folded_entries`); one `_paired_gram`
+    pairs them and its block is written into a zero G, so the rows and
+    columns of all-zero fields are exact zeros. An index that is a run of
+    one step is a slice, so it takes a view, not a copy.
     """
-    other = X if Y is None else Y
-    if other.shape[1:] != X.shape[1:]:
+    if Y is not None and Y.shape[1:] != X.shape[1:]:
         raise ValueError(f"dense_gram pairs fields of one shape and layout, "
                          f"got X {X.shape} and Y {Y.shape}")
     D, entries = X.shape[-1], X.shape[1:-3]
     m = math.prod(entries)
-    held = X.reshape(len(X), m, D**3).any(axis=2)  # per field and entry
-    xs = np.flatnonzero(held.any(axis=1))
-    ys = xs if Y is None else np.flatnonzero(Y.reshape(len(Y), m * D**3).any(axis=1))
-    if len(xs) < len(X) or len(ys) < len(other):  # pair the held fields among zeros
-        G = np.zeros((len(X), len(other)))
-        G[np.ix_(xs, ys)] = dense_gram(X[xs], M, None if Y is None else Y[ys])
-        return G
     X = X.reshape(len(X), m, D, D, D)
-    if Y is not None:
-        return _paired_gram(X, M, Y.reshape((len(Y),) + X.shape[1:]), None)
-    q, w = _folded_entries(X, held.any(axis=0)) if entries == (3, 3) else (slice(None), None)
-    return _paired_gram(X[:, q], M, None, w)
+    held = X.reshape(len(X), m, D**3).any(axis=2)  # per field and entry
+    xs = _as_slice(np.flatnonzero(held.any(axis=1)))
+    ys = xs if Y is None else _as_slice(np.flatnonzero(Y.reshape(len(Y), m * D**3).any(axis=1)))
+    fold = Y is None and entries == (3, 3)
+    q, w = _folded_entries(X, held.any(axis=0)) if fold else (np.arange(m), None)
+    B = _paired_gram(X[_block(xs, _as_slice(q))], M, None if Y is None else Y[ys], w)
+    G = np.zeros((len(X), len(X if Y is None else Y)))
+    G[_block(xs, ys)] = B
+    return G
+
+
+def _block(rows, cols):
+    """The block rows x cols of an array as one index, from slices or index arrays."""
+    return (rows if isinstance(rows, slice) or isinstance(cols, slice) else rows[:, None]), cols
 
 
 def _folded_entries(X, held):
@@ -739,8 +732,13 @@ def _folded_entries(X, held):
 
 
 def _paired_gram(X, M, Y, w):
-    """`dense_gram` of fields (n, m, D, D, D) that all hold a nonzero coefficient,
-    blocked, the entries of X weighted by w (none: all 1)."""
+    """The Gram of gathered fields X and Y (n, m, D, D, D), entries of X weighted by w.
+
+    GRAM_BLOCK rows of X at a time take one moment contraction per axis, the
+    weights (if any; a factor 2 is exact in binary) and one matrix product
+    with the flattened Y. Without Y a block pairs only the columns from its
+    own first row on, and the lower triangle mirrors the upper one, so the
+    Gram is symmetric bit for bit."""
     n, m, D = X.shape[:3]
     other = X if Y is None else Y
     Yf = other.reshape(len(other), m * D**3)
@@ -990,12 +988,10 @@ def batch_gram(rows, other=None):
 
     rows and other (which defaults to rows) each hold m DenseBatch of one
     family, as one batch or an array or list of them; entry [a, b] sums the
-    integrals of field a of rows[q] times field b of other[q] over q, by
-    `dense_gram` on the smallest layout that holds both: the fields that
-    are zero in every entry are not paired, and without other the Gram is
-    symmetric bit for bit. A 3x3 image paired with itself reaches
-    `dense_gram` as 3x3 fields, which pair only their independent entries
-    (three of a skew image, six of a symmetric one).
+    integrals of field a of rows[q] times field b of other[q] over q, by one
+    `dense_gram` on the smallest layout that holds both, which pairs only the
+    held fields and, of a 3x3 image paired with itself, only its independent
+    entries (three of a skew image, six of a symmetric one).
     """
     square = other is None and np.shape(rows) == (3, 3)
     # rebound to their stacks, so that no batch of an image is held through the pairing

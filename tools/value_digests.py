@@ -27,7 +27,11 @@ is printed per result. The results are:
     skew, microstrain symmetric, relaxed full) at bubble orders 1 to 3;
   - the coefficient cubes of the companion spans of cosserat and microstrain
     at bubble orders 2 and 3, so that a roundoff move of a span (of its
-    candidate Gram or eigenvectors) shows as one line.
+    candidate Gram or eigenvectors) shows as one line;
+  - `polyfield.dense_gram` of stacks of 65 fields with interleaved all-zero
+    fields and one NaN field, which no coupled Gram has: three fields paired
+    with themselves and against another such stack, and symmetric 3x3 fields
+    paired with themselves (folded).
 
 Two checkouts compute the same values bit for bit exactly when the two
 outputs are equal:
@@ -172,6 +176,23 @@ def companion_spans(order):
     return spans
 
 
+def grams_among_zeros(rng):
+    M = pf.Poly3.dense_moments(4)
+
+    def stack(entries, zeros):
+        X = rng.uniform(-1.0, 1.0, (65,) + entries + (4, 4, 4))
+        if entries == (3, 3):
+            X = X + X.transpose(0, 2, 1, 3, 4, 5)
+        X[zeros] = 0.0
+        X.reshape(65, -1)[32, 7] = np.nan  # a coefficient of entry 0 of field 32
+        return X
+
+    X, Y = stack((3,), slice(1, None, 4)), stack((3,), slice(2, None, 5))
+    S = stack((3, 3), [0, 9, 64])
+    with np.errstate(invalid="ignore"):
+        return [pf.dense_gram(X, M), pf.dense_gram(X, M, Y), pf.dense_gram(S, M)]
+
+
 def kept_ranks(rng):
     return [len(mm.companion_basis(model, sv.bubble_basis(order)))
             for order in (1, 2, 3) for model in ("cosserat", "microstrain", "relaxed")]
@@ -198,6 +219,7 @@ VALUES = [
     ("companion_kept_ranks", kept_ranks),
     ("companion_span+order2", companion_spans(2)),
     ("companion_span+order3", companion_spans(3)),
+    ("dense_gram+zeros", grams_among_zeros),
 ]
 
 
