@@ -16,12 +16,18 @@ check that is exact in exact arithmetic fails; each report records the
 eps of the stencil arithmetic. The stencil points share coordinates (the
 1539 points of the second differences have 19 distinct z and 193 distinct
 (y, z) pairs), and `polyfield.eval_fields` contracts the field's cubes over
-the distinct ones only. The oracle is two stencil builders, fd_grad (the
-first differences of every entry along each axis; also fd_jac and
-fd_mat_grad) and fd_second_gradient, and two contractions of fd_grad,
-fd_div and fd_curl, each for a vector or, row by row, a matrix field
-(also fd_mat_div and fd_mat_curl). fd_partial and fd_second_partial are
-the one-axis float64 stencils of a scalar callable.
+the distinct ones only. A check evaluates on three point sets, the lattice
+and the first- and second-difference stencils at the default spacings, and
+`eval_fields` sorts and groups each set once per process, not once per
+check: its plans are held by the points' values, so a changed stencil table,
+spacing or STENCIL_DTYPE is a new set with a plan of its own.
+
+The oracle is two stencil builders, fd_grad (the first differences of
+every entry along each axis; also fd_jac and fd_mat_grad) and
+fd_second_gradient, and two contractions of fd_grad, fd_div and fd_curl,
+each for a vector or, row by row, a matrix field (also fd_mat_div and
+fd_mat_curl). fd_partial and fd_second_partial are the one-axis float64
+stencils of a scalar callable.
 
 check_operator and run_suite refuse spacings that cannot give an observed
 order, before any evaluation. The order is the closed-form least-squares

@@ -344,9 +344,17 @@ def coupled_solve(model, params, u_basis, f, companion_fields=None, grams=None,
 
 
 def _coupled_rung(model, params, u_stack, load, companion, grams):
-    """The coupled solve on one assembly: u basis and companion as stacks, u load given."""
+    """The coupled solve on one assembly: u basis and companion as stacks, u load given.
+
+    Every Gram must be square over the product span of the two stacks; a Gram
+    of another basis raises a ValueError that names both sizes."""
+    nu, n = len(u_stack), len(u_stack) + len(companion)
+    for G in grams:
+        if np.shape(G) != (n, n):
+            raise ValueError(
+                f"{model} Grams of shape {np.shape(G)} do not fit a u basis of {nu} fields "
+                f"and a companion of {len(companion)} fields, which need ({n}, {n})")
     K = coupled_stiffness(model, params, grams)
-    nu = len(u_stack)
     b = np.zeros(K.shape[0])
     b[:nu] = load
     c, residual, min_eig = refined_solve(K, b)

@@ -26,7 +26,11 @@ dicts by per-axis dense index (for Poly3 the exponent) and share
 multiples and powers; `eval_fields` evaluates fields of either family,
 contracting their cubes one axis at a time over the distinct coordinates of
 the points (sum factorization), so that points that share coordinates share
-the work.
+the work. The sort and grouping of a point set depend on its values alone:
+they are planned once per point values (`_eval_plan`), held by the dtype and
+the float64 bytes of points that float64 holds exactly, and every later
+call on equal points only stacks, tabulates and contracts.
+`max_abs_coeff` reads every coefficient of a field array in one pass.
 
 Every polynomial carries a degree cap. Construction past the cap raises
 DegreeCapError; sums take the larger cap, products add caps. The cap is a
@@ -135,6 +139,12 @@ def _holds_bool(seqs):
 _REALS = (int, float, np.floating, np.integer)
 
 
+def _max_abs(values):
+    """The largest magnitude of float values, read in one pass through one array:
+    NaN if one is NaN, 0.0 if there is none."""
+    return float(np.abs(np.fromiter(values, float)).max(initial=0.0))
+
+
 class ScalarField:
     """Scalar field as a dict of separable terms keyed by per-axis dense index.
 
@@ -149,7 +159,7 @@ class ScalarField:
 
     def max_abs_coeff(self):
         """Largest coefficient magnitude; NaN if any coefficient is NaN."""
-        return float(np.max(np.abs(list(self.coef.values())), initial=0.0))
+        return _max_abs(self.coef.values())
 
     def is_zero(self, tol=0.0):
         return self.max_abs_coeff() <= tol
@@ -438,20 +448,23 @@ def _made(coef, cap):
 
 
 class _PlanCache:
-    """Plans by key, holding PLAN_PAIRS term pairs at most: a cache that
-    would pass it starts over, and a larger plan is formed but not kept."""
+    """Plans by key, holding `bound` units at most (PLAN_PAIRS term pairs unless
+    given): a cache that would pass it starts over, and a larger plan is formed
+    but not kept."""
 
-    def __init__(self):
+    def __init__(self, bound=None):
         self.plans = {}
-        self.pairs = 0  # term pairs of the plans held
+        self.pairs = 0  # units (term pairs, or points) of the plans held
+        self.bound = bound
 
     def get(self, key, form, pairs):
         """The plan of key, formed by form() on a miss; pairs is its size."""
         plan = self.plans.get(key)
         if plan is None:
             plan = form()
-            if pairs <= PLAN_PAIRS:
-                if self.pairs + pairs > PLAN_PAIRS:
+            bound = PLAN_PAIRS if self.bound is None else self.bound
+            if pairs <= bound:
+                if self.pairs + pairs > bound:
                     self.plans.clear()
                     self.pairs = 0
                 self.plans[key] = plan
@@ -1224,6 +1237,49 @@ def strain_gradient(u):
 
 
 EVAL_BLOCK = 256  # (y, z) pairs eval_fields contracts at once, with at most D times as many points
+_EVAL_PLAN_POINTS = 1 << 16  # points of the evaluation plans held (about 60 bytes a point)
+_EVAL_PLANS = _PlanCache(_EVAL_PLAN_POINTS)  # (dtype, float64 points) -> evaluation plan
+
+_EvalPlan = collections.namedtuple("_EvalPlan", "order pair z_of first coords")
+
+
+def _form_eval_plan(p):
+    """The `_EvalPlan` of (P, 3) points p, which depends on their values alone.
+
+    order sorts the points by z, then y; pair is the (y, z) pair of each sorted
+    point, z_of the distinct z of each pair and first the first sorted point of
+    each pair. coords are the coordinates that the value tables are formed on:
+    the x of every sorted point, then the y of each pair and each distinct z.
+    """
+    order = np.lexsort((p[:, 1], p[:, 2]))
+    s = p.take(order, axis=0)
+    new = np.empty((len(s), 2), dtype=bool)  # the point starts a new (y, z) pair, a new z
+    new[:1] = True
+    np.not_equal(s[1:, 1:], s[:-1, 1:], out=new[1:])
+    new[:, 0] |= new[:, 1]
+    first = new[:, 0].nonzero()[0]
+    pair, z = np.add.accumulate(new, axis=0, dtype=np.intp).T - 1
+    coords = np.concatenate((s[:, 0], s[:, 1].take(first), s[:, 2].compress(new[:, 1])))
+    return _EvalPlan(order, pair.copy(), z.take(first), first, coords)  # no view of the counts
+
+
+def _eval_plan(p):
+    """The `_EvalPlan` of points p, formed once per point values.
+
+    Plans are held in _EVAL_PLANS by the points' dtype and the bytes of
+    their float64 values, never by the padding bytes of an extended
+    precision array. Such a key is exact only where float64 holds every
+    point: a set that it does not (a long double between two doubles or past
+    their range, or a NaN, which equals nothing) is planned on every call,
+    and so is a set of more than _EVAL_PLAN_POINTS points.
+    """
+    if len(p) > _EVAL_PLANS.bound:
+        return _form_eval_plan(p)
+    with np.errstate(over="ignore"):  # a long double past the float64 range rounds to inf
+        hi = p.astype(np.float64, copy=False)
+    if hi is not p and not np.array_equal(hi, p):
+        return _form_eval_plan(p)
+    return _EVAL_PLANS.get((p.dtype.str, hi.tobytes()), lambda: _form_eval_plan(p), len(p))
 
 
 def eval_fields(F, pts):
@@ -1237,14 +1293,17 @@ def eval_fields(F, pts):
     points sorted by (z, y), k is contracted once per distinct z, then j
     once per distinct (y, z) pair, then i once per point. Stencil points
     share coordinates, so the cubes are read far fewer times than there are
-    points. Each value is the same three sums of D products whatever the
-    other points are. The sorted points are taken in blocks of at most
-    EVAL_BLOCK pairs and D * EVAL_BLOCK points, so that no contraction
-    table holds more than EVAL_BLOCK (n, D, D) slices; beside them each
-    point keeps one row of D values and a few indices. The result has shape
-    pts.shape[:-1] + F.shape, and its dtype is that of the points (float64
-    for integer or lower-precision points), so np.longdouble points
-    evaluate in extended precision.
+    points. The sort and grouping depend on the points alone and are formed
+    once per point values (`_eval_plan`), so a call on points seen before
+    stacks the cubes, forms the value tables and contracts. Each value is
+    the same three sums of D products whatever the other points are. The
+    sorted points are taken in blocks of at most EVAL_BLOCK pairs and
+    D * EVAL_BLOCK points, so that no contraction table holds more than
+    EVAL_BLOCK (n, D, D) slices; beside them each point keeps one row of D
+    values and a few indices. The result has shape pts.shape[:-1] + F.shape,
+    and its dtype is that of the points (float64 for integer or
+    lower-precision points), so np.longdouble points evaluate in extended
+    precision.
     """
     F = np.asarray(F, dtype=object)
     family = _dense_family(F.flat)
@@ -1256,18 +1315,9 @@ def eval_fields(F, pts):
     X = FieldStack.of([F]).cubes.astype(p.dtype, copy=False)
     D = X.shape[-1]
     X = X.reshape(n * D * D, D)
-    order = np.lexsort((p[:, 1], p[:, 2]))
-    p = p.take(order, axis=0)  # by z, then y
-    new = np.empty((P, 2), dtype=bool)  # the point starts a new (y, z) pair, a new z
-    new[:1] = True
-    np.not_equal(p[1:, 1:], p[:-1, 1:], out=new[1:])
-    new[:, 0] |= new[:, 1]
-    first = new[:, 0].nonzero()[0]  # the first point of each pair
-    ids = np.add.accumulate(new, axis=0, dtype=np.intp) - 1
-    pair, z_of = ids[:, 0], ids[:, 1].take(first)  # the pair of each point, the z of each pair
+    order, pair, z_of, first, coords = _eval_plan(p)
     Q = len(first)
-    V = family.dense_values(D, np.concatenate(
-        (p[:, 0], p[:, 1].take(first), p[:, 2].compress(new[:, 1]))))
+    V = family.dense_values(D, coords)
     Vx, Vy, Vz = V[:P], V[P:P + Q], V[P + Q:]
     out = np.empty((P, n), dtype=p.dtype)
     a = 0
@@ -1297,8 +1347,9 @@ def integrate_inner_mat(A, B):
 
 
 def max_abs_coeff(F):
-    """Largest coefficient magnitude over the entries of F (or one scalar); NaN if any is NaN."""
-    return float(np.max([p.max_abs_coeff() for p in np.ravel(F)]))
+    """Largest coefficient magnitude over the entries of F (or one scalar), read in one
+    pass; NaN if any is NaN, 0.0 if no entry holds a coefficient (or there is none)."""
+    return _max_abs(itertools.chain.from_iterable([p.coef.values() for p in np.ravel(F)]))
 
 
 def max_abs_coeff_vec(u):

@@ -31,7 +31,16 @@ is printed per result. The results are:
   - `polyfield.dense_gram` of stacks of 65 fields with interleaved all-zero
     fields and one NaN field, which no coupled Gram has: three fields paired
     with themselves and against another such stack, and symmetric 3x3 fields
-    paired with themselves (folded).
+    paired with themselves (folded);
+  - the grid oracle: every report of `gridoracle.run_suite` (errors, observed
+    order and flags) at degrees 2 to 6;
+  - `polyfield.eval_fields` of a Poly3 vector field and a TrigPoly matrix
+    field on scattered points and on points that share coordinates, each in
+    float64 and in long double (a long double array is written as its
+    float64 rounding and the float64 rounding of the rest, never by its
+    padding bytes);
+  - `polyfield.max_abs_coeff` of 3x3 fields holding a NaN, an inf, a -inf,
+    and a NaN beside an inf coefficient.
 
 Two checkouts compute the same values bit for bit exactly when the two
 outputs are equal:
@@ -54,6 +63,7 @@ import numpy as np  # noqa: E402
 
 from couplestress import conformal as cf  # noqa: E402
 from couplestress import energies as en  # noqa: E402
+from couplestress import gridoracle as go  # noqa: E402
 from couplestress import identities as idn  # noqa: E402
 from couplestress import lift as lf  # noqa: E402
 from couplestress import micromorphic as mm  # noqa: E402
@@ -61,6 +71,7 @@ from couplestress import polyfield as pf  # noqa: E402
 from couplestress import solver as sv  # noqa: E402
 from couplestress import stresses as st  # noqa: E402
 from couplestress import tensors as tn  # noqa: E402
+from couplestress.trig import TrigPoly  # noqa: E402
 
 MATERIAL = en.Material(mu=1.3, lam=0.7, alpha1=0.9, alpha2=0.4, ell=0.8)
 SOLVE_MATERIAL = en.Material(1.0, 1.0, 1.0, 0.0, 1.0)
@@ -81,6 +92,9 @@ def encode(x, out):
         out.append(repr(x.shape).encode())
         for v in x.ravel():
             encode(v, out)
+    elif isinstance(x, np.ndarray) and x.dtype == np.longdouble:
+        hi = x.astype(np.float64)
+        encode([hi, (x - hi).astype(np.float64)], out)
     elif isinstance(x, np.ndarray):
         out += [f"{x.dtype.str}{x.shape}".encode(), np.ascontiguousarray(x).tobytes()]
     elif isinstance(x, pf.ScalarField):
@@ -193,6 +207,34 @@ def grams_among_zeros(rng):
         return [pf.dense_gram(X, M), pf.dense_gram(X, M, Y), pf.dense_gram(S, M)]
 
 
+def oracle_suites(rng):
+    return [go.run_suite(int(rng.integers(1 << 30)), trials=2, degree=degree)
+            for degree in range(2, 7)]
+
+
+def evaluations(rng):
+    u = pf.random_vec_field(rng, 4)
+    cube = rng.uniform(-1.0, 1.0, (3, 3, 5, 5, 5))
+    cube[rng.uniform(size=cube.shape) < 0.4] = 0.0
+    T = pf.as_mat([[TrigPoly.from_cube(cube[i, j]) for j in range(3)] for i in range(3)])
+    scattered = rng.uniform(-0.5, 1.5, (300, 3))
+    shared = rng.choice([0.0, 0.125, 0.5, 0.75, 1.0], (400, 3))
+    return [pf.eval_fields(F, np.asarray(pts, dtype=dtype)) for F in (u, T)
+            for pts in (scattered, shared) for dtype in (np.float64, np.longdouble)]
+
+
+def maxima(rng):
+    fields = []
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf]):
+        F = pf.random_mat_field(rng, 3)
+        for value in bad:
+            i, j = rng.integers(3, size=2)
+            F[i, j] = F[i, j] + pf.Poly3({tuple(rng.integers(4, size=3)): value})
+        fields.append(F)
+    with np.errstate(invalid="ignore"):
+        return [pf.max_abs_coeff(F) for F in fields]
+
+
 def kept_ranks(rng):
     return [len(mm.companion_basis(model, sv.bubble_basis(order)))
             for order in (1, 2, 3) for model in ("cosserat", "microstrain", "relaxed")]
@@ -220,6 +262,9 @@ VALUES = [
     ("companion_span+order2", companion_spans(2)),
     ("companion_span+order3", companion_spans(3)),
     ("dense_gram+zeros", grams_among_zeros),
+    ("gridoracle_suite", oracle_suites),
+    ("eval_fields", evaluations),
+    ("max_abs_coeff+nonfinite", maxima),
 ]
 
 
