@@ -20,7 +20,9 @@ the distinct ones only. A check evaluates on three point sets, the lattice
 and the first- and second-difference stencils at the default spacings, and
 `eval_fields` sorts and groups each set once per process, not once per
 check: its plans are held by the points' values, so a changed stencil table,
-spacing or STENCIL_DTYPE is a new set with a plan of its own.
+spacing or STENCIL_DTYPE is a new set with a plan of its own. Only points
+that float64 holds exactly are held, as the default lattice and dyadic
+spacings give; other long double stencils are grouped on every check.
 
 The oracle is two stencil builders, fd_grad (the first differences of
 every entry along each axis; also fd_jac and fd_mat_grad) and

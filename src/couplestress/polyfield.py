@@ -1260,7 +1260,7 @@ def _form_eval_plan(p):
     first = new[:, 0].nonzero()[0]
     pair, z = np.add.accumulate(new, axis=0, dtype=np.intp).T - 1
     coords = np.concatenate((s[:, 0], s[:, 1].take(first), s[:, 2].compress(new[:, 1])))
-    return _EvalPlan(order, pair.copy(), z.take(first), first, coords)  # no view of the counts
+    return _EvalPlan(order, pair.copy(), z.take(first), first, coords)  # not a view of (P, 2)
 
 
 def _eval_plan(p):
