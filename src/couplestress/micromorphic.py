@@ -247,10 +247,9 @@ def companion_basis(model, u_basis: Basis):
     U = u_basis.fields
     D = U.cubes.shape[-1]
     S = U.cubes[::3, 0]  # the basis scalars: field 3 n + d is scalar n times e_d
-    images = [p.coef for p in constrained_companion(model, U.batch()).flat]
+    images, _ = pf._stacks(constrained_companion(model, U.batch()))
     shaped = S[:, None, None, None] * np.array(gens)[None, ..., None, None, None]
-    X = np.concatenate([shaped.reshape((-1, 3, 3) + (D,) * 3),
-                        np.stack(images, axis=1).reshape((len(U), 3, 3) + (D,) * 3)])
+    X = np.concatenate([shaped.reshape((-1, 3, 3) + (D,) * 3), images])
     # prune to an orthonormal independent set; the Gram pairs the independent
     # entries of the class once
     gram = pf.dense_gram(X, U.family.dense_moments(D))

@@ -973,7 +973,7 @@ def symbol_grams(terms, weights, M):
     an array (len(weights), N, N), N = 3 len(phi)^3.
     """
     S = SYMBOL_SIZE
-    Ws = [np.stack([p.coef for p in np.ravel(t)], axis=1).reshape(3, -1, S**3) for t in terms]
+    Ws = [X.reshape(3, -1, S**3) for X in _stacks(*terms)[:-1]]
     C = np.stack([np.tensordot(W, W, (1, 1)) for W in Ws])
     weights = np.asarray(weights, dtype=float)
     _, e = np.frexp(np.max(np.abs(weights), axis=1))
@@ -1001,34 +1001,36 @@ def batch_gram(rows, other=None):
 
     rows and other (which defaults to rows) each hold m DenseBatch of one
     family, as one batch or an array or list of them; entry [a, b] sums the
-    integrals of field a of rows[q] times field b of other[q] over q, by one
-    `dense_gram` on the smallest layout that holds both, which pairs only the
-    held fields and, of a 3x3 image paired with itself, only its independent
-    entries (three of a skew image, six of a symmetric one).
+    integrals of field a of rows[q] times field b of other[q] over q, q in
+    ravel order, by one `dense_gram` on the smallest layout that holds both,
+    which pairs only the held fields and, of a 3x3 image paired with itself,
+    only its independent entries (three of a skew image, six of a symmetric one).
     """
     square = other is None and np.shape(rows) == (3, 3)
     # rebound to their stacks, so that no batch of an image is held through the pairing
-    rows, other, M = _dense_stacks(rows, other)
-    if square:
-        rows = rows.reshape((len(rows), 3, 3) + rows.shape[2:])
-    return dense_gram(rows, M, other)
+    rows, *other, family = _stacks(rows, *([] if other is None else [other]))
+    if not square:
+        rows, *other = (X.reshape((len(X), -1) + X.shape[-3:]) for X in (rows, *other))
+    return dense_gram(rows, family.dense_moments(rows.shape[-1]), *other)
 
 
-def _dense_stacks(rows, other):
-    """The batches of rows and other (or None) as (n, m, D, D, D) stacks on the
-    smallest layout that holds both, and the moment matrix of their family."""
-    rows = list(np.ravel(rows))
-    other = None if other is None else list(np.ravel(other))
-    batches = rows + (other or [])
-    family = batches[0].family
-    if any(p.family is not family for p in batches):
+def _stacks(*fields):
+    """Fields of DenseBatch (each one batch or an array or list of them) of one family
+    as (n, *shape, D, D, D) stacks on the smallest layout D that holds them all, then
+    the family: the one way from batches back to cubes. A mix of families raises TypeError."""
+    flat = [np.ravel(F) for F in fields]
+    family = _one_family([p.family for F in flat for p in F])
+    D = max(p.coef.shape[-1] for F in flat for p in F)
+    stacks = [np.stack([_padded(p.coef, D) for p in F], axis=1) for F in flat]
+    return (*(X.reshape((len(X),) + np.shape(F) + X.shape[2:]) for X, F in zip(stacks, fields)),
+            family)
+
+
+def _one_family(families):
+    """The one family among families; TypeError on a mix."""
+    if len(set(families)) > 1:
         raise TypeError("dense pairing needs one scalar family")
-    D = max(p.coef.shape[-1] for p in batches)
-
-    def stack(row):
-        return np.stack([_padded(p.coef, D) for p in row], axis=1)
-
-    return stack(rows), None if other is None else stack(other), family.dense_moments(D)
+    return families[0]
 
 
 def box_gram(rows, other=None):

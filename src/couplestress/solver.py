@@ -178,28 +178,24 @@ def finite(A, what, constants):
     return A
 
 
-def _load_pairing(basis, F, faces=()):
-    """Volume pairing of a one-field vector batch F with every basis field, plus face terms.
+def _load_pairing(basis, family, F, faces=()):
+    """Volume pairing of a one-field vector stack F with every basis field, plus face terms.
 
     For the field s_n e_d the volume entry is the integral of F_d s_n; a
-    face (x_a = v, normal n) with its batch G adds the integral over the
+    face (x_a = v, normal n) with its stack G adds the integral over the
     face of G_d n_a d_a s_n. Each is sum_ijk A0[n0, i] A1[n1, j] A2[n2, k]
-    X_d[i, j, k] for the cubes X of F or G: A = phi Mom on an axis that is
-    integrated, and A[n, i] = n_a phi'_n(v) V_i(v) on the normal axis, V
-    the family's 1D values at v.
+    X_d[i, j, k] for the cubes X of F or G, (1, 3, D, D, D) in the basis
+    family: A = phi Mom on an axis that is integrated, and
+    A[n, i] = n_a phi'_n(v) V_i(v) on the normal axis, V the family's 1D values at v.
     """
-    family = basis.family
-    batches = [*F, *(p for _, G in faces for p in G)]
-    if any(p.family is not family for p in batches):
-        raise TypeError("dense pairing needs one scalar family")
-    D = max([basis.factors.shape[-1]] + [p.coef.shape[-1] for p in batches])
+    pf._one_family([basis.family, family])
+    D = max([basis.factors.shape[-1], F.shape[-1]] + [G.shape[-1] for _, G in faces])
     Phi = np.zeros((basis.order, D))
     Phi[:, :basis.factors.shape[-1]] = basis.factors
     A = Phi @ family.dense_moments(D)
 
     def pair(X, rows):
         """The contraction on X's own layout, which holds all of its nonzeros."""
-        X = np.stack([p.coef[0] for p in X])
         d = X.shape[-1]
         A0, A1, A2 = (r[:, :d] for r in rows)
         T = A0 @ (A1 @ (X @ A2.T)).reshape(3, d, -1)
@@ -216,7 +212,8 @@ def _load_pairing(basis, F, faces=()):
 
 def load_vector(basis, f):
     """b_a = integral of <f, basis field a>, through the basis factors."""
-    return _load_pairing(basis, pf.batch_fields([f]))
+    F = pf.FieldStack.of([f])
+    return _load_pairing(basis, F.family, F.cubes)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -244,9 +241,10 @@ def manufactured_load(basis, u_star, mat, include_boundary=True):
     g = {}
     for face in faces:
         if face.axis not in g:
-            g[face.axis] = curl_double_force(state, face)
-    b = _load_pairing(basis, f, [(face, g[face.axis]) for face in faces])
-    (f,) = pf.FieldStack(np.stack([p.coef for p in f], axis=1), U.cap, U.family)
+            g[face.axis], _ = pf._stacks(curl_double_force(state, face))
+    F, family = pf._stacks(f)
+    b = _load_pairing(basis, family, F, [(face, g[face.axis]) for face in faces])
+    (f,) = pf.FieldStack(F, U.cap, family)
     return f, finite(b, "load", mat)
 
 
