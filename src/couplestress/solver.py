@@ -293,6 +293,7 @@ def displacement(basis, coefficients):
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
     J = pf.jac(pf.batch_fields([u]))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
+
 from . import polyfield as pf
 from . import tensors as tn
 from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate,
@@ -140,6 +142,7 @@ def moment_transpose_gap(state):
     return state.m_curl - tn.transpose(state.m_axl)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def structure_report(state):
     """Max coefficient magnitudes of every structural invariant."""
     tau_a = state.tau_axl

@@ -175,6 +175,7 @@ def erroneous_mindlin_tiersten(state: StressState, face: Face):
     return TractionSet(face, "axl-mindlin-tiersten", t, pf.zero_vec(), notes={"erroneous": True})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compare_double_forces(state: StressState, face: Face):
     """Curl-route double force against both orientations of the axl route."""
     g = {"curl": curl_double_force(state, face),
@@ -203,6 +204,7 @@ def boundary_virtual_work(state, face, test, formulation="curl",
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def face_work_comparison(state, face, test):
     """Totals under the energetic split against termwise values as printed.
 
@@ -243,6 +245,7 @@ def closed_boundary_work(state, test, formulation="curl"):
     return sum(unsplit_face_work(state, face, test, formulation) for face in ALL_FACES)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def volume_virtual_work(state, test):
     """Volume side of the same identity:
 
