@@ -16,11 +16,18 @@ every function below that takes a model reads its row of `_MODELS`.
 sym-curl-p has unclear well-posedness and its solver hides behind an
 explicit experimental flag; degenerate-cosserat is an energy evaluator only.
 
-As the penalty grows the minimizers approach the constrained couple stress
-model. The companion span therefore contains the constraint images of the
-displacement basis in addition to matrix-shaped bubbles: that makes the
-constrained minimizer admissible at every penalty, so the constrained
-energy is a true upper bound and the penalized energies increase toward it.
+The limit of a model as the penalty grows follows from its coupling. An
+"image" coupling (cosserat, microstrain, micromorphic) ties the companion
+to the constraint image of grad u, so the minimizers approach the
+constrained couple stress model. The companion span therefore contains the
+constraint images of the displacement basis in addition to matrix-shaped
+bubbles: that makes the constrained minimizer admissible at every penalty,
+so the constrained energy is a true upper bound and the penalized energies
+increase toward it. A "strain" coupling (relaxed, further-relaxed) ties only
+sym P to sym grad u, and P = grad u zeroes both the coupling and the
+curvature Curl P: over a span that holds grad u, as the companion span
+does, these rows give the linear elastic (ell = 0) energy at every penalty,
+not the couple stress energy.
 Dense linear algebra (`scipy.linalg`, for the companion Gram's eigenvectors)
 is imported on first use, so the exact-calculus commands start without it.
 """
@@ -401,8 +408,14 @@ def _penalty_ladder(ladder):
 
 
 def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
-    """Penalty ladder table against the constrained reference energy; the ladder as
-    `_penalty_ladder` takes it."""
+    """Penalty ladder table against the constrained couple stress reference energy;
+    the ladder as `_penalty_ladder` takes it.
+
+    The reference is the limit of the "image" rows only. A "strain" row
+    (relaxed, further-relaxed) tends to linear elasticity instead: its
+    energies are the ell = 0 energy at every rung, and its `energy_gap` stays
+    at that energy's distance from the couple stress one.
+    """
     _penalty_ladder(ladder)
     _refuse_unsolvable(model, False)
     companion = companion_basis(model, u_basis)

@@ -11,10 +11,15 @@ read. A `DenseBatch` holds one component of a stack as a scalar: the field
 operators run on object arrays of batches unchanged and evaluate every
 field of the stack in one pass, with diff as an index gather with weights
 on one axis, read once per family, layout and axis from the family's 1D
-derivative matrix. On a batch of `DerivativeSymbol` cubes the same
-operators give their own constant-coefficient symbols, from which
-`symbol_grams` forms weighted sums of the Grams of their images over a
-basis of separable scalars without forming the images. Grams of stacked
+derivative matrix. Each crossing between the three forms (fields, stacks
+and batches) is one function: `FieldStack.of` stacks fields,
+`FieldStack.__getitem__` builds a field of a stack, `FieldStack.batch`
+batches a stack, and `_stacks` turns batched results (operator images,
+loads, symbols) back into stacks for `batch_gram`, `symbol_grams`, the
+solver's loads and the companion span. On a batch of `DerivativeSymbol`
+cubes the same operators give their own constant-coefficient symbols, from
+which `symbol_grams` forms weighted sums of the Grams of their images over
+a basis of separable scalars without forming the images. Grams of stacked
 cubes (`dense_gram`, and `batch_gram` on batches) take one path: one index
 gathers the held fields and, for 3x3 fields paired with themselves, the
 independent entries (a symmetric or skew pair once, weight 2); one blocked
@@ -788,6 +793,8 @@ class DenseBatch:
     that is constant in space, which `tensors.identity_like` and
     `tensors.sph` need; any other raises TypeError. There is no __len__,
     __getitem__ or __array__, so numpy holds a batch as one object entry.
+    Batches come from a stack by `FieldStack.batch` and go back to stacks
+    only by `_stacks`, the one reader of `coef` that builds a stack.
     """
 
     __slots__ = ("coef", "family")
