@@ -21,6 +21,12 @@ is printed per result. The results are:
   - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
     block, a full block and one more trial);
   - `solver.assemble` K and G at bubble orders 1 to 3;
+  - `solver.manufactured_load` (the coefficients of f, and b) of a random
+    displacement of the basis at bubble orders 1 to 3 and sine order 2, and
+    `solver.load_vector` of the CLI's generic load at bubble order 2 and of a
+    random TrigPoly load at sine order 2;
+  - `polyfield.batch_gram` of two batched stacks on different layouts (one
+    padded to the other's layout), and of one stack with itself;
   - the order-2 coupled Grams of cosserat and microstrain, and the order-3
     coupled Grams of cosserat;
   - the kept rank of the companion span of each companion class (cosserat
@@ -61,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from couplestress import cli  # noqa: E402
 from couplestress import conformal as cf  # noqa: E402
 from couplestress import energies as en  # noqa: E402
 from couplestress import gridoracle as go  # noqa: E402
@@ -175,6 +182,28 @@ def assembled(rng):
     return out
 
 
+def manufactured_loads(rng):
+    out = []
+    for basis in [sv.bubble_basis(order) for order in (1, 2, 3)] + [sv.sine_basis(2)]:
+        u_star = sv.displacement(basis, rng.uniform(-1.0, 1.0, len(basis)))
+        out += sv.manufactured_load(basis, u_star, SOLVE_MATERIAL)
+    return out
+
+
+def load_vectors(rng):
+    cube = rng.uniform(-1.0, 1.0, (3, 5, 5, 5))
+    cube[rng.uniform(size=cube.shape) < 0.4] = 0.0
+    f = pf.as_vec([TrigPoly.from_cube(c) for c in cube])
+    return [sv.load_vector(sv.bubble_basis(2), cli._generic_load()),
+            sv.load_vector(sv.sine_basis(2), f)]
+
+
+def padded_batch_grams(rng):
+    A = pf.batch_fields([pf.random_mat_field(rng, 2) for _ in range(5)])
+    B = pf.batch_fields([pf.random_mat_field(rng, 4) for _ in range(7)])
+    return [pf.batch_gram(A, B), pf.batch_gram(B, A), pf.batch_gram(A)]
+
+
 def coupled_grams(models, order):
     def grams(rng):
         basis = sv.bubble_basis(order)
@@ -256,6 +285,9 @@ VALUES = [
     ("identity_suite+trials128", suite(128)),
     ("identity_suite+trials129", suite(129)),
     ("assemble_K_G", assembled),
+    ("manufactured_load", manufactured_loads),
+    ("load_vector", load_vectors),
+    ("batch_gram+padded", padded_batch_grams),
     ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
     ("coupled_grams+order3", coupled_grams(("cosserat",), 3)),
     ("companion_kept_ranks", kept_ranks),
