@@ -1025,19 +1025,23 @@ def _stacks(*fields):
     """Fields of DenseBatch (each one batch or an array or list of them) of one family
     as (n, *shape, D, D, D) stacks on the smallest layout D that holds them all, then
     the family: the one way from batches back to cubes. A mix of families raises TypeError."""
-    flat = [np.ravel(F) for F in fields]
-    family = _one_family([p.family for F in flat for p in F])
-    D = max(p.coef.shape[-1] for F in flat for p in F)
-    stacks = [np.stack([_padded(p.coef, D) for p in F], axis=1) for F in flat]
-    return (*(X.reshape((len(X),) + np.shape(F) + X.shape[2:]) for X, F in zip(stacks, fields)),
-            family)
+    fields = [np.asarray(F, dtype=object) for F in fields]
+    family = _one_family({p.family for F in fields for p in F.flat})
+    D = max([p.coef.shape[-1] for F in fields for p in F.flat])
+    stacks = []
+    for F in fields:
+        X = np.empty((len(F.flat[0].coef), F.size, D, D, D))
+        for q, p in enumerate(F.flat):
+            X[:, q] = _padded(p.coef, D)
+        stacks.append(X.reshape((len(X),) + F.shape + (D, D, D)))
+    return (*stacks, family)
 
 
 def _one_family(families):
-    """The one family among families; TypeError on a mix."""
-    if len(set(families)) > 1:
+    """The one family of a set of families; TypeError on a mix."""
+    if len(families) > 1:
         raise TypeError("dense pairing needs one scalar family")
-    return families[0]
+    return next(iter(families))
 
 
 def box_gram(rows, other=None):

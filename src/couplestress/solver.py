@@ -18,9 +18,9 @@ terms of K are the parts of the law in `energies` under their stress
 weights, and those of G the terms of `functional_norm`. Since the symbols
 come from the same operator code as every other path, the
 curl-against-axl agreement of K still tests the identity between the two
-routes. The loads pair their fields with the factors in
-the same way, the face double force through the factors' derivatives at
-the face. The basis is also one `polyfield.FieldStack`, for
+routes. The loads pair the coefficient stacks of their fields with the
+factors in the same way, the face double force through the factors'
+derivatives at the face. The basis is also one `polyfield.FieldStack`, for
 displacements and the companion spans. The manufactured load runs the
 stresses on u_star as a one-field batch and reads only the curl route,
 so it forms one Jacobian and no axl field, and one double force per
@@ -188,7 +188,7 @@ def _load_pairing(basis, family, F, faces=()):
     family: A = phi Mom on an axis that is integrated, and
     A[n, i] = n_a phi'_n(v) V_i(v) on the normal axis, V the family's 1D values at v.
     """
-    pf._one_family([basis.family, family])
+    pf._one_family({basis.family, family})
     D = max([basis.factors.shape[-1], F.shape[-1]] + [G.shape[-1] for _, G in faces])
     Phi = np.zeros((basis.order, D))
     Phi[:, :basis.factors.shape[-1]] = basis.factors
