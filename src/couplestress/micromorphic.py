@@ -413,8 +413,9 @@ def penalty_limit_study(model, params, u_basis, f, ladder=(1.0, 1e2, 1e4, 1e6)):
 
     The reference is the limit of the "image" rows only. A "strain" row
     (relaxed, further-relaxed) tends to linear elasticity instead: its
-    energies are the ell = 0 energy at every rung, and its `energy_gap` stays
-    at that energy's distance from the couple stress one.
+    energies are the ell = 0 energy at every rung, to roundoff that grows
+    with the penalty, and its `energy_gap` stays at that energy's distance
+    from the couple stress one.
     """
     _penalty_ladder(ladder)
     _refuse_unsolvable(model, False)
