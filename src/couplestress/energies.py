@@ -330,6 +330,7 @@ _FIVE_FORMS = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def five_form_densities(u, mat):
     """The five classical writings of the couple stress curvature density.
 
@@ -507,6 +508,7 @@ MODEL_REGISTRY = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_model(name, u, mat):
     """Return the density of one model, at its default weights, and its box integral;
     a name that is not a registered one (or not a str) raises ValueError."""

@@ -171,6 +171,7 @@ def micromorphic_energy(u, P, model, params):
     return np.sum(terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def force_stress(u, P, model, params):
     """sigma per model; symmetric exactly for microstrain/relaxed families."""
     elastic = conjugate(pf.jac(u), elastic_weights(params)[1], ELASTIC_PARTS)

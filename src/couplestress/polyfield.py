@@ -783,15 +783,21 @@ class DenseBatch:
     once. The family's 1D derivative matrix has at most one nonzero per
     row, so diff gathers each output slot from its one source slot times
     its weight, by index tuples and weights formed once per family, layout
-    and axis (`_diff_plan`); sums, differences and float multiples act on
-    the whole array. Results are made without __init__, as `_made` makes a
-    Poly3, so an operator chain on small batches costs little more than
+    and axis (`_diff_plan`); where the output slots are a slice (in Poly3,
+    TrigPoly and DerivativeSymbol) the source times its weights is written
+    straight into that view of the zero result, with no temporary. Sums,
+    differences and float multiples act on the whole array, a multiple by
+    a plain float with no dispatch. Results are made without __init__, as `_made` makes
+    a Poly3, so an operator chain on small batches costs little more than
     its numpy steps. Each coefficient goes through the float operations of
     the matching Poly3 dict entry, so a chain that multiplies no two
     fields gives the dict path's coefficients bit for bit (a slot the dict
     omits holds a zero). The only product of two batches is by a batch
     that is constant in space, which `tensors.identity_like` and
-    `tensors.sph` need; any other raises TypeError. There is no __len__,
+    `tensors.sph` need: the product probes `other` first, by one `.any()`
+    of its coefficients past the constant slot, and `self` only if `other`
+    is not constant, so `other`'s constant is taken when both are; any
+    other product raises TypeError. There is no __len__,
     __getitem__ or __array__, so numpy holds a batch as one object entry.
     Batches come from a stack by `FieldStack.batch` and go back to stacks
     only by `_stacks`, the one reader of `coef` that builds a stack.
@@ -804,7 +810,7 @@ class DenseBatch:
         self.family = family
 
     def _same(self, other):
-        if not isinstance(other, DenseBatch):
+        if other.__class__ is not DenseBatch and not isinstance(other, DenseBatch):
             return False
         if other.family is not self.family or other.coef.shape != self.coef.shape:
             raise TypeError("batches of different families or layouts")
@@ -813,7 +819,7 @@ class DenseBatch:
     def _constant(self):
         """Per-field constants, or None unless the batch is constant in space."""
         flat = self.coef.reshape(len(self.coef), -1)
-        return None if np.any(flat[:, 1:]) else flat[:, 0]
+        return None if flat[:, 1:].any() else flat[:, 0]
 
     def __add__(self, other):
         if not self._same(other):
@@ -829,14 +835,18 @@ class DenseBatch:
         return _batch(-self.coef, self.family)
 
     def __mul__(self, other):
+        if other.__class__ is float:  # a plain float needs no dispatch
+            return _batch(self.coef * other, self.family)
         if isinstance(other, _REALS):
             return _batch(self.coef * float(other), self.family)
         if not self._same(other):
             return NotImplemented
-        for const, field in ((other._constant(), self), (self._constant(), other)):
-            if const is not None:
-                return _batch(field.coef * const[:, None, None, None], self.family)
-        raise TypeError("product of two batches that are not constant in space")
+        const, field = other._constant(), self
+        if const is None:
+            const, field = self._constant(), other
+            if const is None:
+                raise TypeError("product of two batches that are not constant in space")
+        return _batch(field.coef * const[:, None, None, None], self.family)
 
     __rmul__ = __mul__
 
@@ -859,7 +869,10 @@ class DenseBatch:
             raise ValueError(f"a derivative leaves the {self.family.__name__} layout "
                              f"of size {coef.shape[-1]}")
         res = np.zeros(coef.shape, coef.dtype)
-        res[out] = coef[src] * w
+        if out[-1].__class__ is slice:  # a view of res: the product is written in place
+            np.multiply(coef[src], w, out=res[out])
+        else:
+            res[out] = coef[src] * w
         return _batch(res, self.family)
 
     def restrict(self, axis, value):
@@ -1061,6 +1074,16 @@ def _padded(cubes, D):
     X = np.zeros(cubes.shape[:-3] + (D, D, D))
     X[..., :d, :d, :d] = cubes
     return X
+
+
+def _held_layout(X, family):
+    """Cubes X (..., D, D, D) cut to the family's smallest layout that holds each
+    nonzero coefficient (a NaN counts), the layout `FieldStack.of` gives the fields
+    they hold."""
+    D = X.shape[-1]
+    top = np.argwhere(X.reshape(-1, D, D, D).any(axis=0)).max(initial=0)
+    d = family.dense_size(int(top) + 1)
+    return X if d == D else X[..., :d, :d, :d]
 
 
 class FieldStack:

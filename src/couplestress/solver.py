@@ -24,7 +24,10 @@ derivatives at the face. The basis is also one `polyfield.FieldStack`, for
 displacements and the companion spans. The manufactured load runs the
 stresses on u_star as a one-field batch and reads only the curl route,
 so it forms one Jacobian and no axl field, and one double force per
-axis. Every linear system goes through one dense solve, `refined_solve`.
+axis. `recovery_error` takes u_h - u_star as one coefficient stack, the
+basis combination minus the stack of u_star, through the batch path of
+`functional_norm`, so it builds no field of u_h. Every linear system goes
+through one dense solve, `refined_solve`.
 Dense linear algebra (`scipy.linalg`) is imported on first use, in
 `refined_solve` and `coercivity_estimate`, so the exact-calculus commands
 start without it.
@@ -296,13 +299,33 @@ def displacement(basis, coefficients):
 @np.errstate(over="ignore", invalid="ignore")
 def functional_norm(u):
     """Norm of the solution space: sqrt of |grad u|^2 + |Curl sym grad u|^2."""
-    J = pf.jac(pf.batch_fields([u]))
+    return _stack_norm(pf.FieldStack.of([u]))
+
+
+def _stack_norm(U):
+    """The functional norm of the one field of a stack U, through its batch."""
+    J = pf.jac(U.batch())
     row = [p for t in _norm_terms(J) for p in np.ravel(t)]
     return float(np.sqrt(pf.batch_gram(row)[0, 0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recovery_error(basis, coefficients, u_star):
-    return functional_norm(displacement(basis, coefficients) - u_star)
+    """functional_norm(displacement(basis, coefficients) - u_star), on coefficient stacks.
+
+    u_h - u_star is one cube stack: the combination of the basis stack
+    minus the stack of u_star on one layout, each coefficient by the float
+    subtraction of the field difference, cut to the layout that holds its
+    nonzeros. That is the stack `FieldStack.of` makes of the field
+    difference, so the norm is the same bit for bit, and no field of u_h is
+    built.
+    """
+    H = pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
+    S = pf.FieldStack.of([u_star])
+    family = pf._one_family({H.family, S.family})
+    D = max(H.cubes.shape[-1], S.cubes.shape[-1])
+    X = pf._padded(H.cubes, D) - pf._padded(S.cubes, D)
+    return _stack_norm(pf.FieldStack(pf._held_layout(X, family), family=family))
 
 
 def coercivity_estimate(mat, orders=(1, 2, 3)):

@@ -152,11 +152,13 @@ def curl_double_force(state: StressState, face: Face):
     return _double_force(state, face, "curl")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def traction_curl_form(state: StressState, face: Face):
     """t = (sigma + tau).n - grad[(sym M)(Id-nxn)]:(Id-nxn), g = (sym M).n."""
     return _traction_set(state, face, "curl", "energetic")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
     """t = (sigma - tau).n -+ (1/2) grad[anti(m.n) P]:P, g = +-(1/2) (m.n) x n."""
     return _traction_set(state, face, "axl", orientation)

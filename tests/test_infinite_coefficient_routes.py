@@ -47,3 +47,40 @@ def test_infinite_coefficient_routes_are_non_finite_without_a_warning():
                          text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["False False"] * 6 + ["warn"]
+
+
+FIELD_REPRO = """
+import math
+import numpy as np
+from couplestress import energies as en, micromorphic as mm, polyfield as pf
+from couplestress import stresses as st, tractions as tr
+
+u = pf.random_vec_field(np.random.default_rng(0), 3)
+u[1] = u[1] + pf.Poly3({(2, 1, 0): float("inf")})
+mat = en.Material()
+state = st.assemble(u, mat)
+face = tr.ALL_FACES[1]
+P = pf.random_skw_mat_field(np.random.default_rng(1), 3)
+results = [list(en.five_form_densities(u, mat).values()),
+           *[en.evaluate_model(name, u, mat)[0] for name in ("lam", "mindlin-iii")],
+           *[[ts.traction, ts.double_force] for ts in (tr.traction_curl_form(state, face),
+                                                        tr.traction_axl_form(state, face))],
+           mm.force_stress(u, P, "cosserat", mm.MicromorphicParams())]
+for fields in results:
+    print(all(math.isfinite(pf.max_abs_coeff(F)) for F in np.ravel(np.array(fields, object))))
+print(np.geterr()["invalid"])
+"""
+
+
+def test_field_entry_points_give_non_finite_fields_without_a_warning():
+    """`energies.five_form_densities`, `evaluate_model` on the zoo densities,
+    `tractions.traction_curl_form` and `traction_axl_form` and
+    `micromorphic.force_stress` subtract and multiply coefficients in numpy
+    steps that set the invalid flag on inf - inf or inf * 0; under the
+    library's errstate policy each returns its fields, non-finite, instead of
+    raising a RuntimeWarning in a `-W error` interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", FIELD_REPRO],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False"] * 6 + ["warn"]

@@ -25,6 +25,8 @@ is printed per result. The results are:
     displacement of the basis at bubble orders 1 to 3 and sine order 2, and
     `solver.load_vector` of the CLI's generic load at bubble order 2 and of a
     random TrigPoly load at sine order 2;
+  - `solver.recovery_error` of the solve of a random displacement of the
+    basis at bubble orders 1 to 4 and sine order 2, and of exact recovery;
   - `polyfield.batch_gram` of two batched stacks on different layouts (one
     padded to the other's layout), and of one stack with itself;
   - the order-2 coupled Grams of cosserat and microstrain, and the order-3
@@ -190,6 +192,20 @@ def manufactured_loads(rng):
     return out
 
 
+def recovery_errors(rng):
+    """The solve's recovery error of a random displacement of each basis, then
+    exact recovery (c = c*) on the last basis."""
+    out = []
+    for basis in [sv.bubble_basis(order) for order in (1, 2, 3, 4)] + [sv.sine_basis(2)]:
+        c_star = rng.uniform(-1.0, 1.0, len(basis))
+        u_star = sv.displacement(basis, c_star)
+        _, b = sv.manufactured_load(basis, u_star, SOLVE_MATERIAL)
+        rep = sv.solve(sv.assemble(basis, SOLVE_MATERIAL), b)
+        out.append(sv.recovery_error(basis, rep.coefficients, u_star))
+    out.append(sv.recovery_error(basis, c_star, u_star))
+    return out
+
+
 def load_vectors(rng):
     cube = rng.uniform(-1.0, 1.0, (3, 5, 5, 5))
     cube[rng.uniform(size=cube.shape) < 0.4] = 0.0
@@ -287,6 +303,7 @@ VALUES = [
     ("assemble_K_G", assembled),
     ("manufactured_load", manufactured_loads),
     ("load_vector", load_vectors),
+    ("recovery_error", recovery_errors),
     ("batch_gram+padded", padded_batch_grams),
     ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
     ("coupled_grams+order3", coupled_grams(("cosserat",), 3)),
