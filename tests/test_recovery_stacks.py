@@ -54,18 +54,15 @@ def test_recovery_error_equals_the_field_difference_bit_for_bit(kind, order):
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_a_u_star_on_another_layout_gives_the_same_bits(order):
-    """u_star of degree 5 on a larger or smaller layout than the basis, and one whose
-    top coefficients cancel against u_h, so that the difference needs a smaller layout."""
+    """u_star of degree 5, on a layout at least as large as the basis's, and u_star
+    equal to u_h up to one low term, so that the difference needs a smaller layout."""
     basis = sv.bubble_basis(order)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         c = rng.uniform(-1.0, 1.0, len(basis))
-        u_h = sv.displacement(basis, c)
-        top = basis.factors.shape[-1] - 1
-        cut = u_h.copy()
-        for q in range(3):
-            cut[q] = cut[q] + pf.Poly3({(top, top, top): 1.0}, cut[q].cap)
-        for u_star in (pf.random_vec_field(rng, 5), cut):
+        near = sv.displacement(basis, c)
+        near[1] = near[1] + pf.Poly3({(1, 0, 1): 0.25}, near[1].cap)
+        for u_star in (pf.random_vec_field(rng, 5), near):
             assert bits(sv.recovery_error(basis, c, u_star)) == bits(restated(basis, c, u_star))
 
 
