@@ -783,12 +783,9 @@ class DenseBatch:
     once. The family's 1D derivative matrix has at most one nonzero per
     row, so diff gathers each output slot from its one source slot times
     its weight, by index tuples and weights formed once per family, layout
-    and axis (`_diff_plan`); where the output slots are a slice (in Poly3,
-    TrigPoly and DerivativeSymbol) the source times its weights is written
-    straight into that view of the zero result, with no temporary. Sums,
-    differences and float multiples act on the whole array, a multiple by
-    a plain float with no dispatch. Results are made without __init__, as `_made` makes
-    a Poly3, so an operator chain on small batches costs little more than
+    and axis (`_diff_plan`); sums, differences and float multiples act on
+    the whole array. Results are made without __init__, as `_made` makes a
+    Poly3, so an operator chain on small batches costs little more than
     its numpy steps. Each coefficient goes through the float operations of
     the matching Poly3 dict entry, so a chain that multiplies no two
     fields gives the dict path's coefficients bit for bit (a slot the dict
@@ -810,7 +807,7 @@ class DenseBatch:
         self.family = family
 
     def _same(self, other):
-        if other.__class__ is not DenseBatch and not isinstance(other, DenseBatch):
+        if not isinstance(other, DenseBatch):
             return False
         if other.family is not self.family or other.coef.shape != self.coef.shape:
             raise TypeError("batches of different families or layouts")
@@ -835,8 +832,6 @@ class DenseBatch:
         return _batch(-self.coef, self.family)
 
     def __mul__(self, other):
-        if other.__class__ is float:  # a plain float needs no dispatch
-            return _batch(self.coef * other, self.family)
         if isinstance(other, _REALS):
             return _batch(self.coef * float(other), self.family)
         if not self._same(other):
@@ -869,10 +864,7 @@ class DenseBatch:
             raise ValueError(f"a derivative leaves the {self.family.__name__} layout "
                              f"of size {coef.shape[-1]}")
         res = np.zeros(coef.shape, coef.dtype)
-        if out[-1].__class__ is slice:  # a view of res: the product is written in place
-            np.multiply(coef[src], w, out=res[out])
-        else:
-            res[out] = coef[src] * w
+        res[out] = coef[src] * w
         return _batch(res, self.family)
 
     def restrict(self, axis, value):
@@ -1076,16 +1068,6 @@ def _padded(cubes, D):
     return X
 
 
-def _held_layout(X, family):
-    """Cubes X (..., D, D, D) cut to the family's smallest layout that holds each
-    nonzero coefficient (a NaN counts), the layout `FieldStack.of` gives the fields
-    they hold."""
-    D = X.shape[-1]
-    top = np.argwhere(X.reshape(-1, D, D, D).any(axis=0)).max(initial=0)
-    d = family.dense_size(int(top) + 1)
-    return X if d == D else X[..., :d, :d, :d]
-
-
 class FieldStack:
     """n equally shaped fields of one family as one (n, *shape, D, D, D) cube array.
 
@@ -1134,6 +1116,23 @@ class FieldStack:
         for idx in np.ndindex(out.shape):
             out[idx] = DenseBatch(X[(slice(None),) + idx], self.family)
         return out
+
+
+def _stack_difference(H, S):
+    """H - S for two stacks of equally shaped fields of one family, as the stack
+    `FieldStack.of` makes of the field differences.
+
+    Both are padded to one layout and subtracted coefficient by coefficient,
+    the float subtraction of the fields' dicts, and the difference is cut
+    to the family's smallest layout that holds each nonzero coefficient (a
+    NaN counts), the layout `FieldStack.of` reads from the difference's keys.
+    """
+    family = _one_family({H.family, S.family})
+    D = max(H.cubes.shape[-1], S.cubes.shape[-1])
+    X = _padded(H.cubes, D) - _padded(S.cubes, D)
+    top = np.argwhere(X.reshape(-1, D, D, D).any(axis=0)).max(initial=0)
+    d = family.dense_size(int(top) + 1)
+    return FieldStack(X if d == D else X[..., :d, :d, :d], max(H.cap, S.cap), family)
 
 
 def stack_batches(*stacks):

@@ -292,8 +292,13 @@ def solve(assembly, b):
 
 def displacement(basis, coefficients):
     """The field sum_a c_a v_a of a basis, in the basis family."""
-    (u,) = pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
+    (u,) = _combination(basis, coefficients)
     return u
+
+
+def _combination(basis, coefficients):
+    """The stack of the one field sum_a c_a v_a."""
+    return pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -313,19 +318,13 @@ def _stack_norm(U):
 def recovery_error(basis, coefficients, u_star):
     """functional_norm(displacement(basis, coefficients) - u_star), on coefficient stacks.
 
-    u_h - u_star is one cube stack: the combination of the basis stack
-    minus the stack of u_star on one layout, each coefficient by the float
-    subtraction of the field difference, cut to the layout that holds its
-    nonzeros. That is the stack `FieldStack.of` makes of the field
-    difference, so the norm is the same bit for bit, and no field of u_h is
-    built.
+    u_h - u_star is one cube stack, the combination of the basis stack
+    minus the stack of u_star (`polyfield._stack_difference`). That is the
+    stack `FieldStack.of` makes of the field difference, so the norm is the
+    same bit for bit, and no field of u_h is built.
     """
-    H = pf.linear_combinations(basis.fields, np.asarray(coefficients, dtype=float)[:, None])
-    S = pf.FieldStack.of([u_star])
-    family = pf._one_family({H.family, S.family})
-    D = max(H.cubes.shape[-1], S.cubes.shape[-1])
-    X = pf._padded(H.cubes, D) - pf._padded(S.cubes, D)
-    return _stack_norm(pf.FieldStack(pf._held_layout(X, family), family=family))
+    return _stack_norm(pf._stack_difference(_combination(basis, coefficients),
+                                            pf.FieldStack.of([u_star])))
 
 
 def coercivity_estimate(mat, orders=(1, 2, 3)):

@@ -2,10 +2,9 @@
 
 A float multiple is one numpy multiply, a product with a batch constant in
 space probes `other` first and `self` only if `other` is not constant (each
-probe one `.any()` of the array), and a derivative whose destination is a
-slice multiplies its source straight into the zero result. Each case is
-checked byte for byte (`tobytes`) against the former code restated, on
-coefficients that hold NaN, +-inf and -0.0.
+probe one `.any()` of the array), and a derivative gathers each slot from
+its one source. Each case is checked byte for byte (`tobytes`) against the
+former code restated, on coefficients that hold NaN, +-inf and -0.0.
 """
 import numpy as np
 import pytest
@@ -138,33 +137,19 @@ def test_a_product_probes_self_only_if_other_is_not_constant(monkeypatch):
         assert probed == [p, c]
 
 
-class Gapped:
-    """A family whose derivative writes the rows 0, 2 and 3 of a layout of 4: the
-    destination is an index array, not a slice."""
-
-    @staticmethod
-    def dense_diff(D):
-        R = np.zeros((D, D))
-        R[[0, 2, 3], [1, 3, 0]] = [2.0, -0.5, 3.0]
-        return R
-
-
 @pytest.mark.parametrize("axis", [0, 1, 2, "y"])
-@pytest.mark.parametrize("family", FAMILIES + [Gapped], ids=ids + ["index-array"])
+@pytest.mark.parametrize("family", FAMILIES, ids=ids)
 def test_diff_equals_the_restated_derivative(family, axis):
-    if family is Gapped:
-        p = B(field_batch(pf.Poly3, 5).coef[:, :4, :4, :4], Gapped)
-    else:
-        p = field_batch(family, 5, top=family is not pf.DerivativeSymbol)
+    p = field_batch(family, 5, top=family is not pf.DerivativeSymbol)
     with np.errstate(invalid="ignore"):
         same(p.diff(axis), restated_diff(p, axis))
         strided = B(np.stack([p.coef, p.coef], axis=1)[:, 1], family)
         same(strided.diff(axis), restated_diff(p, axis))
 
 
-@pytest.mark.parametrize("family", FAMILIES + [Gapped], ids=ids + ["index-array"])
+@pytest.mark.parametrize("family", FAMILIES, ids=ids)
 def test_diff_keeps_a_nan_in_its_own_slot(family):
-    D = SIZES.get(family, 4)
+    D = SIZES[family]
     for slot in np.ndindex(D - 1, D - 1, D - 1):
         coef = np.zeros((1, D, D, D))
         coef[(0,) + slot] = np.nan
