@@ -7,9 +7,9 @@ identically, while the skew part stays at the constant W. Energies built
 on the dev sym part alone are therefore blind to an infinite dimensional
 family of deformations.
 
-`relations_report` reads one state of phi's derived fields, and
-`invariance_report` opens a call scope around phi, so its rows derive each
-field of phi once (see `energies._derived_fields`).
+`relations_report` reads one state of phi's derived fields;
+`invariance_report` and `elastic_density_identity_gap` open a call scope
+around phi, so they derive each field of phi once (`energies._derived_fields`).
 """
 from __future__ import annotations
 
@@ -73,6 +73,7 @@ def random_conformal(rng, scale=1.0):
 # --- structural relations ----------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def relations_report(phi, params):
     """Max deviation of every closed-form property of a conformal map, from one
     state of phi's derived fields (the open scope's, if phi is registered)."""
@@ -113,12 +114,11 @@ def relations_report(phi, params):
 
 
 def elastic_density_identity_gap(phi, mat):
-    """W_lin on a conformal map collapses to (kappa/2) tr(grad phi)^2."""
-    from .energies import linear_elastic_density
-
-    J = pf.jac(phi)
-    t = tn.trace(J)
-    return (linear_elastic_density(phi, mat) - t * t * (mat.kappa / 2.0)).max_abs_coeff()
+    """W_lin on a conformal map collapses to (kappa/2) tr(grad phi)^2; both sides
+    read one J of phi."""
+    with en._derived_fields(phi):
+        t = tn.trace(en._state(phi).jacobian)
+        return (en.linear_elastic_density(phi, mat) - t * t * (mat.kappa / 2.0)).max_abs_coeff()
 
 
 # --- energy classification ---------------------------------------------------

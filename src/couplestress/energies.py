@@ -23,15 +23,15 @@ curvature enters through two routes that are computed independently:
 The two are transposes of each other on gradient fields, which is what
 makes the five classical writings of the couple stress density coincide.
 
-Each function that takes a field reads its derived fields (J, the strain
-curl, grad curl u, grad div u, the second and strain gradients, ...) from
-one state, `_FieldState`, each by the formula of its operator. Inside a call scope
-(`_derived_fields`, a contextvars registry that the identity suite, the
-conformal reports and the CLI open around one field, and the coupled Grams
-of `micromorphic` around the u and companion stacks) every function reads
-the same state of a registered field, so the call derives each field once;
-outside one, every call derives from scratch. No state outlives its scope:
-nothing is cached across calls.
+Every library reader of a field's derived fields (J, the strain curl, grad
+curl u, grad div u, the second and strain gradients, ...) takes them from one
+state, `_FieldState`, each by the formula of its operator: the densities here,
+`stresses`, the works of `tractions`, the identity gaps, `conformal` and the
+terms of `micromorphic`. A call scope is a lexical `with _derived_fields(...)`
+block (a contextvars registry) that an entry point reading one field in
+several steps opens around them; inside it every function reads the same
+state of a registered field, so the call derives each field once, and outside
+one every call derives from scratch. No state outlives its block.
 """
 from __future__ import annotations
 

@@ -13,16 +13,18 @@ trial-by-trial run bit for bit. Each check gives one `IdentityReport`,
 whose dict form is its dataclass fields.
 
 The checks read the derived fields of their input (J, the strain curl,
-grad curl u, Curl p, ...) from `energies._state`. Per block and per list
-(identities, then witnesses), each input is built from the block's draw
-at the first check that reads it and registered in a call scope, so the
-checks share one state of it, and both are dropped after the last such
-check: a block holds one input's state at a time.
+grad curl u, Curl p, ...) from `energies._state`. The checks of one input
+sit together in each list; per block and list, each such run builds its
+input from the block's draw and is one `with energies._derived_fields(F)`
+block, so its checks share one state of F: a block holds one input's state
+at a time.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -153,13 +155,15 @@ class IdentityReport:
         return asdict(self)
 
 
+# (name, input, gap); the checks of one input sit together, so that `run_suite`
+# builds each input once per block and list and opens one scope around its run
 _IDENTITY_CHECKS = [
     ("master", "u", master_identity_gap),
     ("rotation-vector", "u", rotation_vector_gap),
     ("sym-grad-curl", "u", sym_grad_curl_gap),
     ("skw-grad-curl", "u", skw_grad_curl_gap),
     ("curl-transpose", "u", curl_transpose_gap),
-    ("gradient-inc", "u", lambda u: en._state(u).inc),
+    ("gradient-inc", "u", incompatibility_first_order),
     ("strain-compatibility", "u", compatible_inc_gap),
     ("strain-curl-trace", "p", strain_curl_trace),
     ("curl-trace", "p", curl_trace_gap),
@@ -171,7 +175,7 @@ _IDENTITY_CHECKS = [
 ]
 
 _WITNESS_CHECKS = [
-    ("inc-witness", "p", lambda p: incompatibility_first_order(p)),
+    ("inc-witness", "p", incompatibility_first_order),
     ("curl-witness", "p", lambda p: en._state(p).curl_J),
 ]
 
@@ -246,16 +250,11 @@ def run_suite(seed=0, trials=100, degree=4, tol=1e-12, witness_floor=1e-6):
     for start in range(0, trials, BLOCK):
         draws = _random_draws(rng, min(BLOCK, trials - start), degree)
         for checks, fold, acc in lists:
-            last = {arg: i for i, (_, arg, _) in enumerate(checks)}
-            inputs = {}
-            with en._derived_fields() as scope:
-                for i, (name, arg, fn) in enumerate(checks):
-                    if arg not in inputs:
-                        inputs[arg] = scope.add(_random_input(draws, arg, degree))
-                    mags = _magnitudes(fn(inputs[arg]))
-                    if i == last[arg]:
-                        scope.drop(inputs.pop(arg))
-                    acc[name] = float(fold.reduce(mags, initial=acc[name]))
+            for arg, run in itertools.groupby(checks, itemgetter(1)):
+                F = _random_input(draws, arg, degree)
+                with en._derived_fields(F):
+                    for name, _, fn in run:
+                        acc[name] = float(fold.reduce(_magnitudes(fn(F)), initial=acc[name]))
     reports = [
         IdentityReport(name, "identity", worst[name], tol, worst[name] <= tol)
         for name, _, _ in _IDENTITY_CHECKS

@@ -76,15 +76,11 @@ def last_two_symmetrizer():
     return _slot_matrix(lambda T: 0.5 * (T + np.swapaxes(T, -2, -1)))
 
 
-def first_two_symmetrizer():
-    """Projection of E onto tensors symmetric in the first two slots.
-
-    On the flat index (i, k, l) this averages E_ikl and E_kil, which is the
-    same 27x27 matrix as `halfsym_matrix`: that map takes second gradients
-    u_i,kl to strain gradients by the same average. Both names stay, one
-    for each reading.
-    """
-    return halfsym_matrix()
+# The projection of E onto tensors symmetric in the first two slots. On the flat
+# index (i, k, l) it averages E_ikl and E_kil, which is the same 27x27 matrix as
+# `halfsym_matrix`: that map takes second gradients u_i,kl to strain gradients by
+# the same average. Both names stay, one for each reading.
+first_two_symmetrizer = halfsym_matrix
 
 
 def flatten_field(T):

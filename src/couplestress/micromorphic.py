@@ -160,6 +160,7 @@ def _term_list(model, params):
     return terms
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def micromorphic_energy(u, P, model, params):
     """Exact polynomial energy density of one model at one coupled state."""
     _check_companion(model, P)
@@ -173,9 +174,11 @@ def micromorphic_energy(u, P, model, params):
 
 @np.errstate(over="ignore", invalid="ignore")
 def force_stress(u, P, model, params):
-    """sigma per model; symmetric exactly for microstrain/relaxed families."""
-    elastic = conjugate(pf.jac(u), elastic_weights(params)[1], ELASTIC_PARTS)
-    return elastic + _coupling_op(model)(u, P) * (2.0 * params.penalty)
+    """sigma per model; symmetric exactly for microstrain/relaxed families. The
+    elastic part and the coupling read one J = grad u."""
+    with _derived_fields(u):
+        elastic = conjugate(_state(u).jacobian, elastic_weights(params)[1], ELASTIC_PARTS)
+        return elastic + _coupling_op(model)(u, P) * (2.0 * params.penalty)
 
 
 def hyperstress(u, P, model, params):
@@ -197,6 +200,7 @@ def invariance_shift_kind(model):
     return _model(model)[4]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invariance_gap(u, P, model, params, rng):
     """Max density coefficient change under the model's invariance transform."""
     W = tn.anti(rng.uniform(-1.0, 1.0, 3))

@@ -1387,16 +1387,7 @@ def max_abs_coeff(F):
     return _max_abs(itertools.chain.from_iterable([p.coef.values() for p in np.ravel(F)]))
 
 
-def max_abs_coeff_vec(u):
-    return max_abs_coeff(u)
-
-
-def max_abs_coeff_mat(A):
-    return max_abs_coeff(A)
-
-
-def max_abs_coeff_ten3(T):
-    return max_abs_coeff(T)
+max_abs_coeff_vec = max_abs_coeff_mat = max_abs_coeff_ten3 = max_abs_coeff
 
 
 # --- random fields -------------------------------------------------------

@@ -16,8 +16,8 @@ satisfy the same balance equation: Div of either total is the same vector
 field, equivalently Div(tau_curl + tau_axl) vanishes identically.
 
 A `StressState` forms each field the first time it is read, all of them
-from one Jacobian grad u, so a reader of one route forms none of the
-other route's fields.
+from the J of u's derived-field state (`energies._state`), so a reader of
+one route forms none of the other route's fields.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material, conjugate,
+from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material, _state, conjugate,
                        curvature_from_jacobian, curvature_weights, elastic_weights)
 
 
@@ -38,7 +38,7 @@ def couple_stress(k, mat):
 
 def force_stress(u, mat):
     """Classical stress 2 mu sym(grad u) + lam tr(grad u) Id."""
-    return _force_stress(pf.jac(u), mat)
+    return _force_stress(_state(u).jacobian, mat)
 
 
 def _force_stress(J, mat):
@@ -50,7 +50,7 @@ class StressState:
     """All stress fields of one displacement field under one material.
 
     Each field is formed on its first read and kept; every one comes from
-    the one Jacobian `jacobian` = grad u.
+    the one Jacobian `jacobian` = grad u, read from the state of u.
     """
 
     def __init__(self, material: Material, u):
@@ -59,7 +59,7 @@ class StressState:
 
     @cached_property
     def jacobian(self):
-        return pf.jac(self.u)
+        return _state(self.u).jacobian
 
     @cached_property
     def k_axl(self):

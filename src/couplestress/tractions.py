@@ -11,7 +11,9 @@ force g = B.n, the per-face edge force B.nu and the unsplit face work
 M : sym grad v = sym M : grad v and (1/2)(m.n).curl v = (1/2) anti(m.n) : grad v.
 The two splits differ by tangential divergences, so their terms disagree
 while totals agree for test fields supported inside a face. Every face
-work is an exact integral of a polynomial over the face.
+work is an exact integral of a polynomial over the face. The works read the
+test field's J (and grad curl) from its state (`energies._state`), and a
+comparison or closed sum is one call scope around the test field.
 
 The axl route carries an orientation switch. "energetic" uses the spin
 convention anti(v).w = v x w throughout, under which its double force
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import _ROUTES
+from .energies import _ROUTES, _derived_fields, _state
 from .stresses import StressState
 
 _ORIENTATIONS = ("energetic", "appendix")
@@ -190,11 +192,12 @@ def compare_double_forces(state: StressState, face: Face):
 # --- face work ----------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def boundary_virtual_work(state, face, test, formulation="curl",
                           orientation="energetic"):
     """Exact face work: traction term, double-force term, total."""
     ts = _traction_set(state, face, formulation, orientation)
-    dn = tn.matvec(pf.jac(test), face.normal)
+    dn = tn.matvec(_state(test).jacobian, face.normal)
     traction_term = face.integrate(tn.inner_vec(ts.traction, test))
     double_term = face.integrate(tn.inner_vec(ts.double_force, dn))
     return {
@@ -212,11 +215,12 @@ def face_work_comparison(state, face, test):
 
     Totals from both formulations agree for test fields supported inside
     the face. Termwise values computed with the appendix orientation show
-    the mismatch of the individual terms.
+    the mismatch of the individual terms. The three works read one J of test.
     """
-    curl = boundary_virtual_work(state, face, test, "curl")
-    axl_en = boundary_virtual_work(state, face, test, "axl", "energetic")
-    axl_ap = boundary_virtual_work(state, face, test, "axl", "appendix")
+    with _derived_fields(test):
+        curl = boundary_virtual_work(state, face, test, "curl")
+        axl_en = boundary_virtual_work(state, face, test, "axl", "energetic")
+        axl_ap = boundary_virtual_work(state, face, test, "axl", "appendix")
     return {
         "curl": curl,
         "axl-energetic": axl_en,
@@ -234,17 +238,21 @@ def face_work_comparison(state, face, test):
 # --- unsplit pairings and volume consistency --------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def unsplit_face_work(state, face, test, formulation="curl"):
     """Raw boundary pairing (T.n).v + B : grad v before the tangential split,
     with the energetic B of the route, integrated exactly."""
     T, B, _ = _route(state, face, formulation, "energetic")
     force = tn.inner_vec(tn.matvec(T(), face.normal), test)
-    return face.integrate(force + tn.inner(B, pf.jac(test)))
+    return face.integrate(force + tn.inner(B, _state(test).jacobian))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def closed_boundary_work(state, test, formulation="curl"):
-    """Unsplit pairing summed over all six faces; route independent."""
-    return sum(unsplit_face_work(state, face, test, formulation) for face in ALL_FACES)
+    """Unsplit pairing summed over all six faces, from one J of test; route
+    independent."""
+    with _derived_fields(test):
+        return sum(unsplit_face_work(state, face, test, formulation) for face in ALL_FACES)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -253,9 +261,9 @@ def volume_virtual_work(state, test):
 
     integral of <sigma, sym grad v> + <m, (1/2) grad curl v> + <Div total, v>.
     """
-    J = pf.jac(test)
-    a = tn.inner(state.sigma, tn.sym(J))
-    kt = pf.jac(pf.curl(test)) * 0.5
+    s = _state(test)
+    a = tn.inner(state.sigma, tn.sym(s.jacobian))
+    kt = s.grad_curl * 0.5
     b = tn.inner(state.m_axl, kt)
     c = tn.inner_vec(pf.mat_div(state.total_curl), test)
     return (a + b + c).integrate()

@@ -18,6 +18,11 @@ is printed per result. The results are:
   - the energy registry (each density and its box integral) and the five
     writings of the curvature density, at a material away from the default;
   - `stresses.structure_report`;
+  - the face and volume works of `tractions`: `face_work_comparison` on the
+    `face_bump` of each face, `closed_boundary_work` on both routes and
+    `volume_virtual_work` of one random test field;
+  - `micromorphic.force_stress` of each model with a solver, and
+    `conformal.elastic_density_identity_gap`;
   - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
     block, a full block and one more trial);
   - `solver.assemble` K and G at bubble orders 1 to 3;
@@ -80,6 +85,7 @@ from couplestress import polyfield as pf  # noqa: E402
 from couplestress import solver as sv  # noqa: E402
 from couplestress import stresses as st  # noqa: E402
 from couplestress import tensors as tn  # noqa: E402
+from couplestress import tractions as tr  # noqa: E402
 from couplestress.trig import TrigPoly  # noqa: E402
 
 MATERIAL = en.Material(mu=1.3, lam=0.7, alpha1=0.9, alpha2=0.4, ell=0.8)
@@ -174,6 +180,25 @@ def registry(rng):
 def suite(trials):
     """The identity-suite reports (each with its magnitude) at trials trials."""
     return lambda rng: idn.run_suite(int(rng.integers(1 << 30)), trials=trials, degree=4)
+
+
+def tractions_work(rng):
+    state = st.assemble(pf.random_vec_field(rng, 4), MATERIAL)
+    test = pf.random_vec_field(rng, 3)
+    faces = [tr.face_work_comparison(state, face, tr.face_bump(face, (face.axis + 1) % 3))
+             for face in tr.ALL_FACES]
+    return faces + [tr.closed_boundary_work(state, test, route) for route in ("curl", "axl")] \
+        + [tr.volume_virtual_work(state, test)]
+
+
+def force_stresses(rng):
+    params = mm.MicromorphicParams(penalty=3.0, alpha3=0.2)
+    return [mm.force_stress(pf.random_vec_field(rng, 3), companion(model, rng), model, params)
+            for model in mm.MODEL_IDS if mm._model(model)[5] != "evaluator"]
+
+
+def elastic_identity_gap(rng):
+    return cf.elastic_density_identity_gap(cf.random_conformal(rng)[0], MATERIAL)
 
 
 def assembled(rng):
@@ -297,6 +322,9 @@ VALUES = [
     ("five_forms", lambda rng: en.five_form_densities(pf.random_vec_field(rng, 4), MATERIAL)),
     ("structure_report",
      lambda rng: st.structure_report(st.assemble(pf.random_vec_field(rng, 4), MATERIAL))),
+    ("tractions_work", tractions_work),
+    ("force_stress", force_stresses),
+    ("elastic_density_identity_gap", elastic_identity_gap),
     ("identity_suite+trials1", suite(1)),
     ("identity_suite+trials128", suite(128)),
     ("identity_suite+trials129", suite(129)),
