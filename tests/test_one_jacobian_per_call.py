@@ -7,8 +7,8 @@ derived-field state (`energies._state`) inside one call scope, and a
 u it forms none of its own. Every value is compared bit for bit with the
 same formula restated with a `pf.jac` per step.
 """
-import io
 import contextlib
+import io
 
 import numpy as np
 import pytest
