@@ -26,12 +26,15 @@ makes the five classical writings of the couple stress density coincide.
 Every library reader of a field's derived fields (J, the strain curl, grad
 curl u, grad div u, the second and strain gradients, ...) takes them from one
 state, `_FieldState`, each by the formula of its operator: the densities here,
-`stresses`, the works of `tractions`, the identity gaps, `conformal` and the
-terms of `micromorphic`. A call scope is a lexical `with _derived_fields(...)`
-block (a contextvars registry) that an entry point reading one field in
-several steps opens around them; inside it every function reads the same
-state of a registered field, so the call derives each field once, and outside
-one every call derives from scratch. No state outlives its block.
+`stresses`, the works of `tractions`, the identity gaps, `conformal`, the
+terms of `micromorphic`, the second and strain gradients of `lift` and the
+norm terms and unit-symbol terms of `solver`. A call scope is a lexical
+`with _derived_fields(...)` block (a contextvars registry) that an entry
+point reading one field in several steps opens around them; inside it every
+function reads the same state of a registered field, so the call derives each
+field once, and outside one every call derives from scratch. A state lives
+exactly as long as its block: none outlives it, and no reader ends one early
+(a field needed for fewer steps gets a nested block).
 """
 from __future__ import annotations
 
@@ -275,6 +278,7 @@ def _state(F):
     return _FieldState(F) if hit is None else hit[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rotation_gradient(u):
     """k = grad(axl(skw(grad u))), the gradient of the continuum rotation."""
     return _state(u).k_axl

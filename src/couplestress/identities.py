@@ -36,6 +36,7 @@ from . import tensors as tn
 # --- building blocks -------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def incompatibility_first_order(p):
     """INC(p) = [Curl(sym p)]^T - grad(axl(skw p)).
 
@@ -60,30 +61,35 @@ def incompatibility_second_order(e):
 # within a `run_suite` block, formed afresh on any other call.
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def master_identity_gap(u):
     """grad(axl(skw grad u)) - [Curl(sym grad u)]^T on a vector field."""
     s = en._state(u)
     return s.k_axl - tn.transpose(s.k_curl)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rotation_vector_gap(u):
     """2 axl(skw grad u) - curl u."""
     s = en._state(u)
     return s.axl_skw * 2.0 - s.curl
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sym_grad_curl_gap(u):
     """sym grad(curl u) - 2 sym Curl(sym grad u)."""
     s = en._state(u)
     return tn.sym(s.grad_curl) - tn.sym(s.k_curl) * 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def skw_grad_curl_gap(u):
     """skw grad(curl u) + 2 skw Curl(sym grad u)."""
     s = en._state(u)
     return tn.skw(s.grad_curl) + tn.skw(s.k_curl) * 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def curl_transpose_gap(u):
     """[grad curl u]^T - Curl([grad u]^T)."""
     s = en._state(u)
@@ -95,17 +101,20 @@ def strain_curl_trace(p):
     return tn.trace(en._state(p).k_curl)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def curl_trace_gap(p):
     """tr Curl(p) - 2 div(axl skw p)."""
     s = en._state(p)
     return tn.trace(s.curl_J) - pf.div(s.axl_skw) * 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def div_anti_gap(v):
     """Div(anti v) + curl v."""
-    return pf.mat_div(tn.anti(v)) + pf.curl(v)
+    return pf.mat_div(tn.anti(v)) + en._state(v).curl
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def axl_skw_curl_gap(P):
     """axl(skw Curl P) - (1/2)(Div(P^T) - grad tr P)."""
     a = tn.axl(tn.skw(en._state(P).curl_J))
@@ -113,6 +122,7 @@ def axl_skw_curl_gap(P):
     return a - b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nye_gap(A):
     """Curl A + (grad axl A)^T - tr(grad axl A) Id, for skew A."""
     s = en._state(A)
@@ -121,6 +131,7 @@ def nye_gap(A):
     return s.curl_J + tn.transpose(G) - iso
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nye_inverse_gap(A):
     """grad(axl A) + (Curl A)^T - (1/2) tr(Curl A) Id, for skew A."""
     s = en._state(A)
@@ -129,6 +140,7 @@ def nye_inverse_gap(A):
     return s.grad_axl + tn.transpose(C) - iso
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def curl_of_inc_gap(p):
     """Curl(INC(p)) - inc(sym p) for an arbitrary matrix field."""
     s = en._state(p)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import CURVATURE_PARTS, conjugate, quadratic, strain_curl
+from .energies import CURVATURE_PARTS, _state, conjugate, quadratic, strain_curl
 
 
 def flat_index(a, b, c):
@@ -89,11 +89,11 @@ def flatten_field(T):
 
 
 def strain_gradient_flat(u):
-    return flatten_field(pf.strain_gradient(u))
+    return flatten_field(_state(u).strain_gradient)
 
 
 def second_gradient_flat(u):
-    return flatten_field(pf.second_gradient(u))
+    return flatten_field(_state(u).second_gradient)
 
 
 def apply_flat(M, field_flat):

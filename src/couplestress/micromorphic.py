@@ -286,11 +286,12 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     The product basis is the pairs (u, 0) and (0, P), u first. Each term
     operator runs once, on what it reads: an op marked `reads` "u" on the
     u stack, one marked "P" on the companion stack (both batched on the
-    layout that holds both stacks), any other op on the product span. Both
-    stacks are registered in one call scope (`energies._derived_fields`),
-    so the elastic ops share one Jacobian of the u stack and the curvature
-    ops one curvature measure of the companion stack; a stack's state is
-    dropped once the last op of its slot has run. Each Gram is one
+    layout that holds both stacks), any other op on the product span. One
+    call scope (`energies._derived_fields`) registers the companion stack
+    around every op, and a nested one the u stack around the elastic ops
+    only, so the elastic ops share one Jacobian of the u stack and the
+    curvature ops one curvature measure of the companion stack, and each
+    stack's state ends with the block of its slot. Each Gram is one
     `polyfield.batch_gram`, placed in the block of its slot with zeros
     elsewhere, as the Gram over the zero-padded product span would hold
     it. Returned keyed by term index; weights are applied later so a
@@ -301,20 +302,18 @@ def coupled_operator_grams(model, u_basis, companion_fields):
     U, P = pf.stack_batches(u_stack, P_stack)
     span = {"u": (U, None, slice(nu)), "P": (None, P, slice(nu, n)),
             None: (*pf.product_batches(u_stack, P_stack), slice(n))}
-    terms = _term_list(model, MicromorphicParams())
-    last = {getattr(op, "reads", None): k for k, (_, op) in enumerate(terms)}
-    grams = []
-    with _derived_fields(U, P) as scope:
-        for k, (_, op) in enumerate(terms):
-            reads = getattr(op, "reads", None)
-            u, Q, block = span[reads]
-            G = np.zeros((n, n))
-            G[block, block] = pf.batch_gram(op(u, Q))
-            grams.append(G)
-            if last[reads] == k:  # the slot's ops are done: its state goes
-                scope.drop(u)
-                scope.drop(Q)
-    return grams
+    ops = [op for _, op in _term_list(model, MicromorphicParams())]
+
+    def gram(op):
+        u, Q, block = span[getattr(op, "reads", None)]
+        G = np.zeros((n, n))
+        G[block, block] = pf.batch_gram(op(u, Q))
+        return G
+
+    with _derived_fields(P):
+        with _derived_fields(U):  # the elastic ops lead the term list
+            grams = [gram(op) for op in ops[:len(ELASTIC_PARTS)]]
+        return grams + [gram(op) for op in ops[len(ELASTIC_PARTS):]]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -42,9 +42,9 @@ import numpy as np
 
 from . import polyfield as pf
 from . import tensors as tn
-from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material,
-                       curvature_from_jacobian, curvature_weights, elastic_weights,
-                       rotation_gradient, strain_curl)
+from .energies import (_ROUTES, CURVATURE_PARTS, ELASTIC_PARTS, Material, _derived_fields,
+                       _state, curvature_weights, elastic_weights, rotation_gradient,
+                       strain_curl)
 from .stresses import assemble as assemble_stresses, equilibrium_residual
 from .tractions import ALL_FACES, curl_double_force
 from .trig import TrigPoly
@@ -160,18 +160,18 @@ def assemble(basis, mat, formulation="curl"):
 
 @functools.cache
 def _term_symbols(curvature):
-    """The terms of `assemble` on the unit symbols, formed once per curvature operator:
-    the parts of the law on J and k, then the norm terms."""
+    """The terms of `assemble` on the unit symbols, formed once per curvature operator
+    from one state of them: the parts of the law on J and k, then the norm terms."""
     U = pf.unit_symbols()
-    J = pf.jac(U)
-    k = curvature(U)
-    return (*(part(J) for _, part in ELASTIC_PARTS), *(part(k) for _, part in CURVATURE_PARTS),
-            *_norm_terms(J))
+    with _derived_fields(U):
+        s, k = _state(U), curvature(U)
+        return (*(part(s.jacobian) for _, part in ELASTIC_PARTS),
+                *(part(k) for _, part in CURVATURE_PARTS), *_norm_terms(s))
 
 
-def _norm_terms(J):
-    """The terms of the solution-space norm from J = grad u: J and Curl sym J."""
-    return J, curvature_from_jacobian(J, "curl")
+def _norm_terms(s):
+    """The terms of the solution-space norm from the state s of u: J and Curl sym J."""
+    return s.jacobian, s.k_curl
 
 
 def finite(A, what, constants):
@@ -309,8 +309,7 @@ def functional_norm(u):
 
 def _stack_norm(U):
     """The functional norm of the one field of a stack U, through its batch."""
-    J = pf.jac(U.batch())
-    row = [p for t in _norm_terms(J) for p in np.ravel(t)]
+    row = [p for t in _norm_terms(_state(U.batch())) for p in np.ravel(t)]
     return float(np.sqrt(pf.batch_gram(row)[0, 0]))
 
 
@@ -354,9 +353,8 @@ def sym_curl_bound_ratio(seed=0, trials=20, degree=4):
     smallest ratio, which must stay strictly positive.
     """
     rng = np.random.default_rng(seed)
-    U = pf.batch_fields([pf.random_vec_field(rng, degree) for _ in range(trials)])
-    e = tn.sym(pf.jac(U))
-    k = pf.mat_curl(e)
+    s = _state(pf.batch_fields([pf.random_vec_field(rng, degree) for _ in range(trials)]))
+    e, k = tn.sym(s.jacobian), s.k_curl
     e2, sk2, k2 = (np.diag(pf.batch_gram(M)) for M in (e, tn.sym(k), k))
     ratios = (e2 + sk2) / (e2 + k2)
     return {"min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),

@@ -105,6 +105,7 @@ def assemble(u, mat):
     return StressState(mat, u)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def equilibrium_residual(state, f=None, formulation="curl"):
     """Div(total stress) + f as an exact polynomial vector field."""
     curl = pf._choice(formulation, _ROUTES, "formulation") == "curl"
@@ -114,6 +115,7 @@ def equilibrium_residual(state, f=None, formulation="curl"):
     return r
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def body_force_for(u, mat, formulation="curl"):
     """Load under which u satisfies the balance equation exactly."""
     state = assemble(u, mat)
@@ -121,6 +123,7 @@ def body_force_for(u, mat, formulation="curl"):
     return r * -1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def divergence_sum(state):
     """Div(tau_curl + tau_axl); identically zero for every field."""
     return pf.mat_div(state.tau_curl + state.tau_axl)

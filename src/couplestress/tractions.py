@@ -166,6 +166,7 @@ def traction_axl_form(state: StressState, face: Face, orientation="appendix"):
     return _traction_set(state, face, "axl", orientation)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def erroneous_mindlin_tiersten(state: StressState, face: Face):
     """Historical mis-split t = (sigma - tau).n - (1/2) n x grad<n, sym(m).n>.
 
@@ -328,6 +329,7 @@ def edge_conormal(face: Face, edge_axis: int, edge_value: float):
     return nu
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def edge_force(state, face: Face, edge_axis: int, edge_value: float,
                formulation="curl", orientation="energetic"):
     """Per-face edge contribution B.nu along one face edge.

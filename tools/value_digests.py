@@ -21,6 +21,9 @@ is printed per result. The results are:
   - the face and volume works of `tractions`: `face_work_comparison` on the
     `face_bump` of each face, `closed_boundary_work` on both routes and
     `volume_virtual_work` of one random test field;
+  - the three values of a `lift-check` trial (both round trips and the
+    energy equality) of one field, read in one call scope;
+  - `solver.sym_curl_bound_ratio`;
   - `micromorphic.force_stress` of each model with a solver, and
     `conformal.elastic_density_identity_gap`;
   - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
@@ -34,8 +37,9 @@ is printed per result. The results are:
     basis at bubble orders 1 to 4 and sine order 2, and of exact recovery;
   - `polyfield.batch_gram` of two batched stacks on different layouts (one
     padded to the other's layout), and of one stack with itself;
-  - the order-2 coupled Grams of cosserat and microstrain, and the order-3
-    coupled Grams of cosserat;
+  - the order-2 coupled Grams of every model with a solver (cosserat and
+    microstrain on one line, micromorphic, relaxed and further-relaxed on
+    another), and the order-3 coupled Grams of cosserat;
   - the kept rank of the companion span of each companion class (cosserat
     skew, microstrain symmetric, relaxed full) at bubble orders 1 to 3;
   - the coefficient cubes of the companion spans of cosserat and microstrain
@@ -170,6 +174,15 @@ def invariance_gaps(rng):
     params = mm.MicromorphicParams(alpha3=0.2)
     return [mm.invariance_gap(pf.random_vec_field(rng, 3), companion(model, rng), model,
                               params, rng) for model in mm.MODEL_IDS]
+
+
+def lift_check_values(rng):
+    """The three checks of one `lift-check` trial, sharing one state of u."""
+    u = pf.random_vec_field(rng, 4)
+    C = lf.sixth_order_isotropic(1.0, 0.0)
+    with en._derived_fields(u):
+        return [lf.roundtrip_gap(u, "corrected"), lf.roundtrip_gap(u, "printed"),
+                lf.verify_energy_equality(u, 1.0, 0.0, C)]
 
 
 def registry(rng):
@@ -323,6 +336,9 @@ VALUES = [
     ("structure_report",
      lambda rng: st.structure_report(st.assemble(pf.random_vec_field(rng, 4), MATERIAL))),
     ("tractions_work", tractions_work),
+    ("lift_check_values", lift_check_values),
+    ("sym_curl_bound_ratio",
+     lambda rng: sv.sym_curl_bound_ratio(int(rng.integers(1 << 30)), trials=20, degree=4)),
     ("force_stress", force_stresses),
     ("elastic_density_identity_gap", elastic_identity_gap),
     ("identity_suite+trials1", suite(1)),
@@ -334,6 +350,8 @@ VALUES = [
     ("recovery_error", recovery_errors),
     ("batch_gram+padded", padded_batch_grams),
     ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
+    ("coupled_grams+order2+full",
+     coupled_grams(("micromorphic", "relaxed", "further-relaxed"), 2)),
     ("coupled_grams+order3", coupled_grams(("cosserat",), 3)),
     ("companion_kept_ranks", kept_ranks),
     ("companion_span+order2", companion_spans(2)),
