@@ -42,7 +42,7 @@ import contextlib
 import contextvars
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -122,11 +122,14 @@ def _weighted_sum(terms, weights):
     return reduce(operator.add, [t * w for t, w in zip(terms, weights, strict=True)])
 
 
+def _norm_sq(v):
+    """|v|^2 of a part's image: a matrix field's squared norm, a trace's square."""
+    return tn.norm_sq(v) if isinstance(v, np.ndarray) else v * v
+
+
 def quadratic(X, weights, parts):
     """sum of w |part(X)|^2 from the first term; the trace part gives w tr(X)^2."""
-    vals = [part(X) for _, part in parts]
-    return _weighted_sum([tn.norm_sq(v) if isinstance(v, np.ndarray) else v * v for v in vals],
-                         weights)
+    return _weighted_sum([_norm_sq(part(X)) for _, part in parts], weights)
 
 
 def conjugate(X, weights, parts):
@@ -340,12 +343,16 @@ def five_form_densities(u, mat):
 
     Keys name the route: via grad(curl u) with sym or dev sym split, via the
     rotation gradient, and via the strain curl with sym or dev sym split.
-    All five are computed from scratch and must agree coefficientwise.
+    Each is `quadratic` of its measure, and must agree with the others
+    coefficientwise. The forms share squared norms (the skw part of grad curl u
+    and of the strain curl enters two forms each), so each (measure, part)
+    norm is formed once and each form sums its norms by `_weighted_sum`.
     """
     s = _state(u)
     k = {"gradcurl": s.grad_curl, "axl": s.k_axl, "curl": s.k_curl}
-    return {name: quadratic(k[measure], [f * w for w in constants(mat, parts)], parts)
-            * mat.curvature_scale
+    norm = cache(lambda measure, part: _norm_sq(part(k[measure])))
+    return {name: _weighted_sum([norm(measure, part) for _, part in parts],
+                                [f * w for w in constants(mat, parts)]) * mat.curvature_scale
             for name, measure, f, parts in _FIVE_FORMS}
 
 
@@ -453,6 +460,7 @@ def mindlin_ii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     return _weighted_sum(terms, a) * mat.curvature_scale
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     """Mindlin form III: rotation curvature plus fully symmetric part."""
     s = _state(u)
@@ -466,6 +474,7 @@ def mindlin_iii_density(u, mat, a=(1.0, 1.0, 1.0, 1.0, 1.0)):
     return _weighted_sum(terms, a) * mat.curvature_scale
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lam_density(u, mat, a=(1.0, 1.0, 1.0)):
     """Dilatation gradient, traceless symmetric part, and sym grad curl split."""
     s = _state(u)

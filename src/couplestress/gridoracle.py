@@ -14,15 +14,17 @@ second difference, about eps * |u| / h^2, below the exact-match floor at
 the finest default h. Where np.longdouble is plain double it is not, and a
 check that is exact in exact arithmetic fails; each report records the
 eps of the stencil arithmetic. The stencil points share coordinates (the
-1539 points of the second differences have 19 distinct z and 193 distinct
-(y, z) pairs), and `polyfield.eval_fields` contracts the field's cubes over
+1539 points of the second differences have 19 distinct x and z and 193
+distinct (y, z) pairs), and the evaluation contracts the field's cubes over
 the distinct ones only. A check evaluates on three point sets, the lattice
-and the first- and second-difference stencils at the default spacings, and
-`eval_fields` sorts and groups each set once per process, not once per
-check: its plans are held by the points' values, so a changed stencil table,
-spacing or STENCIL_DTYPE is a new set with a plan of its own. Only points
-that float64 holds exactly are held, as the default lattice and dyadic
-spacings give; other long double stencils are grouped on every check.
+and the first- and second-difference stencils. The lattice goes through
+`polyfield.eval_fields`, which plans it once per process. Each stencil is
+shifted and planned once per process too (`_stencil_plan`): its plan is held
+in `polyfield._EVAL_PLANS`, within that cache's bound, under the lattice,
+the spacings, the offset table and STENCIL_DTYPE, so a changed table,
+spacing or dtype is a stencil with a plan of its own, and a check contracts
+the field on the held plan (`polyfield._evaluate`, the contraction of
+`eval_fields`) with every value as before, bit for bit.
 
 The oracle is two stencil builders, fd_grad (the first differences of
 every entry along each axis; also fd_jac and fd_mat_grad) and
@@ -84,17 +86,45 @@ def fd_second_partial(f, pts, ax1, ax2, h):
     ) / (4 * h**2)
 
 
+def _key(a):
+    """An array's dtype, shape and bytes: equal keys hold equal values."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _stencil_plan(pts, h, hs, offsets):
+    """The evaluation plan of the stencil points pts + h * offset, for every h and
+    offset, formed in STENCIL_DTYPE once per process.
+
+    The plan is held in `polyfield._EVAL_PLANS`, within its bound, under the
+    arrays that fix the points (pts, h and the offset table, by their bytes)
+    and STENCIL_DTYPE, so a changed table, spacing or dtype is a new entry.
+    Points or spacings given as objects (the bytes of an object array are
+    addresses, not values) are planned on every call.
+    """
+    P, H = np.asarray(pts), np.asarray(h)
+
+    def form():
+        X = np.asarray(pts, dtype=STENCIL_DTYPE)
+        shifted = X + hs[:, None, None, None] * offsets.astype(STENCIL_DTYPE)[:, None, :]
+        return pf._form_eval_plan(shifted.reshape(-1, 3))
+
+    if P.dtype.hasobject or H.dtype.hasobject:
+        return form()
+    key = ("stencil", np.dtype(STENCIL_DTYPE).str, _key(P), _key(H), _key(offsets))
+    return pf._EVAL_PLANS.get(key, form, len(hs) * len(offsets) * (P.size // 3))
+
+
 def _at_offsets(F, pts, h, offsets):
     """F at pts + h * offset for every h and offset, and the spacings.
 
     The values have shape (nh, noffsets, npts, *F.shape) and the spacings
     shape (nh, 1, ..., 1) to broadcast against one offset's values, both in
-    STENCIL_DTYPE.
+    STENCIL_DTYPE. The stencil points are planned once (`_stencil_plan`), and
+    each call contracts F on the plan (`polyfield._evaluate`).
     """
     hs = np.reshape(np.asarray(h, dtype=STENCIL_DTYPE), -1)
-    X = np.asarray(pts, dtype=STENCIL_DTYPE)
-    shifted = X + hs[:, None, None, None] * offsets.astype(STENCIL_DTYPE)[:, None, :]
-    vals = pf.eval_fields(F, shifted)
+    vals = pf._evaluate(F, _stencil_plan(pts, h, hs, offsets))
+    vals = vals.reshape((len(hs), len(offsets), -1) + vals.shape[1:])
     return vals, hs.reshape((-1,) + (1,) * (vals.ndim - 2))
 
 

@@ -7,13 +7,20 @@ and the second-gradient space T[k,i,j] = u_k,ij:
   * reconstruction: u_k,ij = strain_ik,j + strain_jk,i - strain_ij,k
   * half symmetrization: strain_ik,l = (T[i,k,l] + T[k,i,l]) / 2
 
-The curvature energy acts row by row on k = Curl(sym grad u) through 3x3
-blocks L^i; pulled back through the reconstruction it becomes a sixth
-order form C on second gradients with <C T, T> equal to the row-wise
-curvature pairing for every displacement field. Both sides are one
+The row-wise curvature pairing sum_i <L^i k_i, k_i> acts on the rows k_i
+of k = Curl(sym grad u) through 3x3 blocks L^i; pulled back through the
+reconstruction it becomes a sixth order form C on second gradients with
+<C T, T> equal to the row-wise pairing for every displacement field. The
+blocks keep only the same-row entries L4[i, j, i, l] of the law's
+fourth-order tensor, so the row-wise pairing is neither the law's curvature
+density nor isotropic (`sixth_order_from_blocks`). Both sides are one
 pairing <M f, f>, the chain of f[r] * f[c] * M[r, c] over the nonzeros of
 M in row-major order: the block-diagonal matrix of the L^i on the rows of
 k, and C on the flattened second gradient.
+
+The round trip A(H(T)) runs on the coefficient stack of the second gradient,
+one vectorized step per term rank of the rows of A H, which is the float
+arithmetic of `apply_flat` on the Poly3 fields, coefficient by coefficient.
 
 The law comes from `energies`: the fourth-order tensor and the full-matrix
 pairing are its curvature parts under the weights (2 a1, 2 a2). Every
@@ -21,6 +28,8 @@ matrix here is formed from unit inputs by the map it represents: the
 index maps above, the law, and `tensors.axl`, `anti` and `skw`.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -102,15 +111,35 @@ def apply_flat(M, field_flat):
                          pf.Poly3.zero()) for row in M], dtype=object)
 
 
+@functools.cache
+def _roundtrip_terms(signs):
+    """The nonzeros of the round-trip map A H of a sign convention, formed once, by
+    their rank within their row: for rank 0, 1, ... the rows that have a term of
+    that rank, its column and its value. Summed rank by rank, they add each
+    row's terms in ascending column, as `apply_flat` does."""
+    M = reconstruction_matrix(signs) @ halfsym_matrix()
+    rows, cols = np.nonzero(M)
+    vals = M[rows, cols]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    return [(rows[at], cols[at], vals[at]) for at in (rank == r for r in range(rank.max() + 1))]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def roundtrip_gap(u, signs="corrected"):
     """Max coefficient of A(H(T)) - T on a genuine second gradient; a field with
-    a non-finite coefficient gives a non-finite gap."""
-    A = reconstruction_matrix(signs)
-    H = halfsym_matrix()
-    T = second_gradient_flat(u)
-    back = apply_flat(A @ H, T)
-    return pf.max_abs_coeff(back - T)
+    a non-finite coefficient gives a non-finite gap.
+
+    A H is applied to the coefficient stack of T, one step per term rank of its
+    rows (`_roundtrip_terms`): each coefficient takes the float operations of
+    `apply_flat` on the Poly3 fields, in the same order, where a missing key
+    counts as 0.0, so the gap is the same bit for bit and no field is formed.
+    """
+    terms = _roundtrip_terms(pf._choice(signs, _SIGNS, "sign convention"))
+    X = pf.FieldStack.of([_state(u).second_gradient]).cubes.reshape(27, -1)
+    back = np.zeros_like(X)
+    for rows, cols, vals in terms:
+        back[rows] += X[cols] * vals[:, None]
+    return float(np.abs(back - X).max(initial=0.0))
 
 
 # --- curvature blocks ---------------------------------------------------------
@@ -128,11 +157,11 @@ def blocks_from_tensor(L4):
 
 
 def isotropic_blocks(alpha1, alpha2):
-    """Closed form of the isotropic row blocks: diagonal matrices with
-    4 a1 / 3 in slot (i, i) and a1 + a2 elsewhere."""
+    """Closed form of the isotropic row blocks: diagonal float matrices with
+    4 a1 / 3 in slot (i, i) and a1 + a2 elsewhere, for integer weights too."""
     blocks = []
     for i in range(3):
-        d = np.full(3, alpha1 + alpha2)
+        d = np.full(3, alpha1 + alpha2, dtype=float)
         d[i] = 4.0 * alpha1 / 3.0
         blocks.append(np.diag(d))
     return blocks
@@ -156,8 +185,16 @@ def block_lift(blocks):
 
 def sixth_order_from_blocks(blocks):
     """C = P H^T B H P with H the half symmetrization and P the last-two
-    symmetrizer; the quadratic form of C on second gradients reproduces
-    the row-wise curvature pairing."""
+    symmetrizer.
+
+    The quadratic form of C on second gradients reproduces the row-wise
+    pairing sum_i <L^i k_i, k_i> over the rows k_i of k = Curl sym grad u.
+    That pairing keeps only the same-row blocks of the law's fourth-order
+    tensor, so it is neither the law's curvature density nor isotropic: with
+    `isotropic_blocks(1, 0)` it is |k|^2 + (1/3) sum_i k_ii^2, and on
+    `random_vec_field(default_rng(0), 3)` its box integral is 22.56 against
+    26.25 for the law's 2 |dev sym k|^2 (`matrix_pairing`).
+    """
     H = halfsym_matrix()
     P = last_two_symmetrizer()
     B = block_lift(blocks)
@@ -165,6 +202,9 @@ def sixth_order_from_blocks(blocks):
 
 
 def sixth_order_isotropic(alpha1, alpha2):
+    """`sixth_order_from_blocks` of `isotropic_blocks`: the lift of the row-wise
+    pairing sum_i <L^i k_i, k_i>, which is neither the law's curvature density
+    nor isotropic, though its blocks come from the isotropic law."""
     return sixth_order_from_blocks(isotropic_blocks(alpha1, alpha2))
 
 

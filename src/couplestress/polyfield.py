@@ -34,7 +34,8 @@ the points (sum factorization), so that points that share coordinates share
 the work. The sort and grouping of a point set depend on its values alone:
 they are planned once per point values (`_eval_plan`), held by the dtype and
 the float64 bytes of points that float64 holds exactly, and every later
-call on equal points only stacks, tabulates and contracts.
+call on equal points only stacks, tabulates each distinct coordinate once
+and contracts (`_evaluate`).
 `max_abs_coeff` reads every coefficient of a field array in one pass.
 
 Every polynomial carries a degree cap. Construction past the cap raises
@@ -1273,18 +1274,42 @@ def strain_gradient(u):
 
 EVAL_BLOCK = 256  # (y, z) pairs eval_fields contracts at once, with at most D times as many points
 _EVAL_PLAN_POINTS = 1 << 16  # points of the evaluation plans held (about 60 bytes a point)
-_EVAL_PLANS = _PlanCache(_EVAL_PLAN_POINTS)  # (dtype, float64 points) -> evaluation plan
+_EVAL_PLANS = _PlanCache(_EVAL_PLAN_POINTS)  # (dtype, float64 points) or stencil key -> plan
 
-_EvalPlan = collections.namedtuple("_EvalPlan", "order pair z_of first coords")
+_EvalPlan = collections.namedtuple("_EvalPlan", "order pair z_of first x_of coords")
+
+
+def _distinct(t):
+    """The distinct values of a 1D array t, and the row of each value among them.
+
+    Two values are one row exactly when their value bits are equal: when they
+    compare equal and have the same sign bit, so -0.0 and 0.0 keep rows of
+    their own, and so does each NaN (a NaN equals nothing). The padding bytes
+    of a long double play no part. Objects (Fraction coordinates, say) have no
+    value bits to compare, so each keeps a row of its own.
+    """
+    if t.dtype.hasobject:
+        return t, np.arange(len(t))
+    neg = np.signbit(t)
+    order = np.lexsort((neg, t))
+    s, ns = t.take(order), neg.take(order)
+    new = np.empty(len(s), dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[1:] |= ns[1:] != ns[:-1]
+    row = np.empty(len(s), dtype=np.intp)
+    row[order] = np.add.accumulate(new, dtype=np.intp) - 1
+    return s.compress(new), row
 
 
 def _form_eval_plan(p):
     """The `_EvalPlan` of (P, 3) points p, which depends on their values alone.
 
     order sorts the points by z, then y; pair is the (y, z) pair of each sorted
-    point, z_of the distinct z of each pair and first the first sorted point of
-    each pair. coords are the coordinates that the value tables are formed on:
-    the x of every sorted point, then the y of each pair and each distinct z.
+    point, z_of the distinct z of each pair, first the first sorted point of
+    each pair and x_of the row of each sorted point's x among the distinct x
+    (`_distinct`). coords are the coordinates that the value tables are formed
+    on: each distinct x, then the y of each pair and each distinct z.
     """
     order = np.lexsort((p[:, 1], p[:, 2]))
     s = p.take(order, axis=0)
@@ -1294,8 +1319,10 @@ def _form_eval_plan(p):
     new[:, 0] |= new[:, 1]
     first = new[:, 0].nonzero()[0]
     pair, z = np.add.accumulate(new, axis=0, dtype=np.intp).T - 1
-    coords = np.concatenate((s[:, 0], s[:, 1].take(first), s[:, 2].compress(new[:, 1])))
-    return _EvalPlan(order, pair.copy(), z.take(first), first, coords)  # not a view of (P, 2)
+    xs, x_of = _distinct(s[:, 0])
+    coords = np.concatenate((xs, s[:, 1].take(first), s[:, 2].compress(new[:, 1])))
+    # pair is copied so that the plan holds no view of the (P, 2) array
+    return _EvalPlan(order, pair.copy(), z.take(first), first, x_of, coords)
 
 
 def _eval_plan(p):
@@ -1306,7 +1333,9 @@ def _eval_plan(p):
     precision array. Such a key is exact only where float64 holds every
     point: a set that it does not (a long double between two doubles or past
     their range, or a NaN, which equals nothing) is planned on every call,
-    and so is a set of more than _EVAL_PLAN_POINTS points.
+    and so is a set of more than _EVAL_PLAN_POINTS points. A caller whose own
+    key fixes its points (`gridoracle`'s stencils) holds their plan in
+    _EVAL_PLANS under that key instead, within the same bound.
     """
     if len(p) > _EVAL_PLANS.bound:
         return _form_eval_plan(p)
@@ -1315,6 +1344,36 @@ def _eval_plan(p):
     if hi is not p and not np.array_equal(hi, p):
         return _form_eval_plan(p)
     return _EVAL_PLANS.get((p.dtype.str, hi.tobytes()), lambda: _form_eval_plan(p), len(p))
+
+
+def _evaluate(F, plan):
+    """Values of the entries of F (an array of scalars of one family, or one scalar)
+    at the points of an `_EvalPlan`, with shape (P,) + F.shape and the dtype of
+    the plan's coordinates; the contraction of `eval_fields`."""
+    F = np.asarray(F, dtype=object)
+    family = _dense_family(F.flat)
+    if not issubclass(family, ScalarField):
+        raise TypeError(f"eval_fields evaluates scalar fields, got {family.__name__}")
+    order, pair, z_of, first, x_of, coords = plan
+    n, P, Q = F.size, len(order), len(first)
+    X = FieldStack.of([F]).cubes.astype(coords.dtype, copy=False)
+    D = X.shape[-1]
+    X = X.reshape(n * D * D, D)
+    V = family.dense_values(D, coords)
+    R = len(coords) - Q - (z_of[-1] + 1 if Q else 0)  # coords: R distinct x, Q pair y, the z
+    Vx, Vy, Vz = V[:R], V[R:R + Q], V[R + Q:]
+    out = np.empty((P, n), dtype=coords.dtype)
+    a = 0
+    while a < P:
+        q0 = pair[a]
+        e = min(a + D * EVAL_BLOCK, first[q0 + EVAL_BLOCK] if q0 + EVAL_BLOCK < Q else P)
+        q1, z0 = pair[e - 1] + 1, z_of[q0]
+        T = np.einsum("zk,mk->zm", Vz[z0:z_of[q1 - 1] + 1], X).reshape(-1, n * D, D)
+        T = np.einsum("qmj,qj->qm", T.take(z_of[q0:q1] - z0, axis=0), Vy[q0:q1])
+        T = T.reshape(-1, n, D).take(pair[a:e] - q0, axis=0)
+        out[order[a:e]] = np.einsum("pni,pi->pn", T, Vx.take(x_of[a:e], axis=0))
+        a = e
+    return out.reshape((P,) + F.shape)
 
 
 def eval_fields(F, pts):
@@ -1328,44 +1387,25 @@ def eval_fields(F, pts):
     points sorted by (z, y), k is contracted once per distinct z, then j
     once per distinct (y, z) pair, then i once per point. Stencil points
     share coordinates, so the cubes are read far fewer times than there are
-    points. The sort and grouping depend on the points alone and are formed
-    once per point values (`_eval_plan`), so a call on points seen before
-    stacks the cubes, forms the value tables and contracts. Each value is
-    the same three sums of D products whatever the other points are. The
-    sorted points are taken in blocks of at most EVAL_BLOCK pairs and
-    D * EVAL_BLOCK points, so that no contraction table holds more than
-    EVAL_BLOCK (n, D, D) slices; beside them each point keeps one row of D
-    values and a few indices. The result has shape pts.shape[:-1] + F.shape,
-    and its dtype is that of the points (float64 for integer or
-    lower-precision points), so np.longdouble points evaluate in extended
-    precision.
+    points, and each table is formed once per distinct coordinate: per
+    distinct x (by value bits, so -0.0, 0.0 and each NaN have rows of their
+    own), per (y, z) pair and per distinct z. The sort and grouping depend
+    on the points alone and are formed once per point values (`_eval_plan`),
+    so a call on points seen before stacks the cubes, forms the value tables
+    and contracts (`_evaluate`, which the grid oracle calls on its held
+    stencil plans). Each value is the same three sums of D products whatever
+    the other points are. The sorted points are taken in blocks of at most
+    EVAL_BLOCK pairs and D * EVAL_BLOCK points, so that no contraction table
+    holds more than EVAL_BLOCK (n, D, D) slices; beside them each point keeps
+    one row of D values and a few indices. The result has shape
+    pts.shape[:-1] + F.shape, and its dtype is that of the points (float64
+    for integer or lower-precision points), so np.longdouble points evaluate
+    in extended precision.
     """
-    F = np.asarray(F, dtype=object)
-    family = _dense_family(F.flat)
-    if not issubclass(family, ScalarField):
-        raise TypeError(f"eval_fields evaluates scalar fields, got {family.__name__}")
     pts = np.asarray(pts)
     p = pts.reshape(-1, 3).astype(np.result_type(pts.dtype, float), copy=False)
-    n, P = F.size, len(p)
-    X = FieldStack.of([F]).cubes.astype(p.dtype, copy=False)
-    D = X.shape[-1]
-    X = X.reshape(n * D * D, D)
-    order, pair, z_of, first, coords = _eval_plan(p)
-    Q = len(first)
-    V = family.dense_values(D, coords)
-    Vx, Vy, Vz = V[:P], V[P:P + Q], V[P + Q:]
-    out = np.empty((P, n), dtype=p.dtype)
-    a = 0
-    while a < P:
-        q0 = pair[a]
-        e = min(a + D * EVAL_BLOCK, first[q0 + EVAL_BLOCK] if q0 + EVAL_BLOCK < Q else P)
-        q1, z0 = pair[e - 1] + 1, z_of[q0]
-        T = np.einsum("zk,mk->zm", Vz[z0:z_of[q1 - 1] + 1], X).reshape(-1, n * D, D)
-        T = np.einsum("qmj,qj->qm", T.take(z_of[q0:q1] - z0, axis=0), Vy[q0:q1])
-        T = T.reshape(-1, n, D).take(pair[a:e] - q0, axis=0)
-        out[order[a:e]] = np.einsum("pni,pi->pn", T, Vx[a:e])
-        a = e
-    return out.reshape(pts.shape[:-1] + F.shape)
+    vals = _evaluate(F, _eval_plan(p))
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
 eval_vec = eval_mat = eval_fields

@@ -50,9 +50,12 @@ is printed per result. The results are:
     with themselves and against another such stack, and symmetric 3x3 fields
     paired with themselves (folded);
   - the grid oracle: every report of `gridoracle.run_suite` (errors, observed
-    order and flags) at degrees 2 to 6;
+    order and flags) at degrees 2 to 6, and every operator's
+    `gridoracle.check_operator` report on a lattice of 20 scattered points
+    with the spacings (0.1, 0.05, 0.025);
   - `polyfield.eval_fields` of a Poly3 vector field and a TrigPoly matrix
-    field on scattered points and on points that share coordinates, each in
+    field on scattered points, on points that share coordinates, and on
+    points whose x repeat among a few values with -0.0, 0.0 and NaN, each in
     float64 and in long double (a long double array is written as its
     float64 rounding and the float64 rounding of the rest, never by its
     padding bytes);
@@ -295,15 +298,42 @@ def oracle_suites(rng):
             for degree in range(2, 7)]
 
 
-def evaluations(rng):
-    u = pf.random_vec_field(rng, 4)
+def trig_matrix(rng):
+    """A TrigPoly matrix field with about 40% of its cube entries zero."""
     cube = rng.uniform(-1.0, 1.0, (3, 3, 5, 5, 5))
     cube[rng.uniform(size=cube.shape) < 0.4] = 0.0
-    T = pf.as_mat([[TrigPoly.from_cube(cube[i, j]) for j in range(3)] for i in range(3)])
+    return pf.as_mat([[TrigPoly.from_cube(cube[i, j]) for j in range(3)] for i in range(3)])
+
+
+def evaluations(rng):
+    u = pf.random_vec_field(rng, 4)
+    T = trig_matrix(rng)
     scattered = rng.uniform(-0.5, 1.5, (300, 3))
     shared = rng.choice([0.0, 0.125, 0.5, 0.75, 1.0], (400, 3))
     return [pf.eval_fields(F, np.asarray(pts, dtype=dtype)) for F in (u, T)
             for pts in (scattered, shared) for dtype in (np.float64, np.longdouble)]
+
+
+def evaluations_on_repeated_x(rng):
+    """eval_fields on points whose x repeat among a few values, -0.0, 0.0 and NaN
+    among them, with signed zeros and NaN in y and z too."""
+    u = pf.random_vec_field(rng, 4)
+    T = trig_matrix(rng)
+    pts = rng.uniform(-0.5, 1.5, (300, 3))
+    pts[:, 0] = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, -0.75, np.nan], 300)
+    pts[::7, 1] = rng.choice([-0.0, 0.0, np.nan], 43)
+    pts[::11, 2] = rng.choice([-0.0, 0.0, 0.5], 28)
+    with np.errstate(invalid="ignore"):  # TrigPoly reduces a NaN modulo 2
+        return [pf.eval_fields(F, np.asarray(pts, dtype=dtype)) for F in (u, T)
+                for dtype in (np.float64, np.longdouble)]
+
+
+def oracle_checks(rng):
+    """Every operator's check on a lattice of 20 scattered points and non-dyadic spacings."""
+    u = pf.random_vec_field(rng, 5)
+    pts = rng.uniform(0.2, 0.8, (20, 3))
+    return [go.check_operator(name, u, hs=(0.1, 0.05, 0.025), pts=pts)
+            for name in go.operator_names()]
 
 
 def maxima(rng):
@@ -359,6 +389,8 @@ VALUES = [
     ("dense_gram+zeros", grams_among_zeros),
     ("gridoracle_suite", oracle_suites),
     ("eval_fields", evaluations),
+    ("eval_fields+repeated_x", evaluations_on_repeated_x),
+    ("gridoracle_check+lattice", oracle_checks),
     ("max_abs_coeff+nonfinite", maxima),
 ]
 
