@@ -19,7 +19,10 @@ loads, symbols) back into stacks for `batch_gram`, `symbol_grams`, the
 solver's loads and the companion span. On a batch of `DerivativeSymbol`
 cubes the same operators give their own constant-coefficient symbols, from
 which `symbol_grams` forms weighted sums of the Grams of their images over
-a basis of separable scalars without forming the images. Grams of stacked
+a basis of separable scalars without forming the images; `factor_moments`
+holds the 1D moments of each factor set, read-only, in a bounded cache keyed
+by the factors' values, and `symbol_grams` also takes the products of the
+symbols as one held stack (`_symbol_products`). Grams of stacked
 cubes (`dense_gram`, and `batch_gram` on batches) take one path: one index
 gathers the held fields and, for 3x3 fields paired with themselves, the
 independent entries (a symmetric or skew pair once, weight 2); one blocked
@@ -954,12 +957,46 @@ def unit_symbols():
     return as_vec([DenseBatch(coef[:, q], DerivativeSymbol) for q in range(3)])
 
 
+_TABLE_ENTRIES = 1 << 18  # float entries held by each table cache (8 bytes an entry)
+_FACTOR_MOMENTS = _PlanCache(_TABLE_ENTRIES)  # (family, rows key) -> read-only moments
+
+
+def _value_key(a):
+    """dtype, shape and bytes of an array, equal for two arrays exactly when they hold
+    the same values bit for bit; None for an object array, whose bytes are addresses."""
+    a = np.asarray(a)
+    return None if a.dtype.hasobject else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _held(A):
+    """A made read-only, for a cache to hand out."""
+    A.flags.writeable = False
+    return A
+
+
+def _held_table(cache, key, form, units):
+    """The table form() makes, read-only and held in cache under key, a tuple of
+    values of `units` entries; formed on every call when key holds a None."""
+    if None in key:
+        return _held(form())
+    return cache.get(key, lambda: _held(form()), units)
+
+
 def factor_moments(rows, family):
     """M[p, q, i, j] = integral over [0, 1] of phi_i^(p) phi_j^(q), for p, q < SYMBOL_SIZE.
 
     rows (n, D) hold the 1D factors phi_i on a layout of the family that is
-    closed under d/dx; the derivative rows come from its `dense_diff`.
+    closed under d/dx; the derivative rows come from its `dense_diff`. M is
+    read-only and formed once per family and rows values (`_value_key`),
+    held in a cache of _TABLE_ENTRIES entries; object rows are formed on
+    every call.
     """
+    return _held_table(_FACTOR_MOMENTS, (family, _value_key(rows)),
+                       lambda: _form_factor_moments(rows, family), SYMBOL_SIZE**2 * len(rows)**2)
+
+
+def _form_factor_moments(rows, family):
+    """The moments of `factor_moments`, formed."""
     D = rows.shape[-1]
     Rt = family.dense_diff(D).T
     derivs = [rows]
@@ -967,6 +1004,15 @@ def factor_moments(rows, family):
         derivs.append(derivs[-1] @ Rt)
     P = np.stack(derivs)
     return np.tensordot(P @ family.dense_moments(D), P, (2, 2)).transpose(0, 2, 1, 3)
+
+
+def _symbol_products(terms):
+    """The read-only stack C (len(terms), 3, S^3, 3, S^3) of the products
+    C_t[d, alpha, e, beta] = sum_q W[d, q, alpha] W[e, q, beta] of the terms'
+    symbols W (see `symbol_grams`), S = SYMBOL_SIZE."""
+    S = SYMBOL_SIZE
+    Ws = [X.reshape(3, -1, S**3) for X in _stacks(*terms)[:-1]]
+    return _held(np.stack([np.tensordot(W, W, (1, 1)) for W in Ws]))
 
 
 def symbol_grams(terms, weights, M):
@@ -984,10 +1030,13 @@ def symbol_grams(terms, weights, M):
     its largest magnitude, and its Gram scaled back at the end (exact in
     binary), so no step overflows unless the weighted Gram does. Returns
     an array (len(weights), N, N), N = 3 len(phi)^3.
+
+    In place of the terms, terms may be the float array `_symbol_products`
+    makes of them, so that a caller that holds it forms no product again.
     """
     S = SYMBOL_SIZE
-    Ws = [X.reshape(3, -1, S**3) for X in _stacks(*terms)[:-1]]
-    C = np.stack([np.tensordot(W, W, (1, 1)) for W in Ws])
+    products = isinstance(terms, np.ndarray) and terms.dtype.kind == "f"
+    C = terms if products else _symbol_products(terms)
     weights = np.asarray(weights, dtype=float)
     _, e = np.frexp(np.max(np.abs(weights), axis=1))
     C = np.tensordot(np.ldexp(weights, -e[:, None]), C, (1, 0))

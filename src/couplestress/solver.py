@@ -20,8 +20,13 @@ come from the same operator code as every other path, the
 curl-against-axl agreement of K still tests the identity between the two
 routes. The loads pair the coefficient stacks of their fields with the
 factors in the same way, the face double force through the factors'
-derivatives at the face. The basis is also one `polyfield.FieldStack`, for
-displacements and the companion spans. The manufactured load runs the
+derivatives at the face. The fixed tables of this path are formed once per
+process: each route's symbol products (`_term_products`), the factor
+moments (`polyfield.factor_moments`) and the moment and face rows of the
+load pairing, the last two held read-only in bounded caches keyed by the
+values of the factors, so a later assembly or load only weights and
+contracts them, with every value the same bit for bit. The basis is also
+one `polyfield.FieldStack`, for displacements and the companion spans. The manufactured load runs the
 stresses on u_star as a one-field batch and reads only the curl route,
 so it forms one Jacobian and no axl field, and one double force per
 axis. `recovery_error` takes u_h - u_star as one coefficient stack, the
@@ -144,14 +149,16 @@ def assemble(basis, mat, formulation="curl"):
     Every term is linear with constant coefficients, so the operators run
     on `polyfield.unit_symbols()` (once per curvature operator), and K and
     G are formed from their symbols, weighted by the material, and the 1D
-    moments of the basis factors, by `polyfield.symbol_grams`.
+    moments of the basis factors, by `polyfield.symbol_grams`. It reads the
+    route's symbol products (`_term_products`) and the factor moments as
+    held tables, formed on the first call, so a later call forms neither.
     """
     pf._choice(formulation, _ROUTES, "formulation")
     mat.validate_wellposed()
     curvature = strain_curl if formulation == "curl" else rotation_gradient
     stiffness = [*elastic_weights(mat)[1], *curvature_weights(mat)]
     weights = [stiffness + [0.0, 0.0], [0.0] * len(stiffness) + [1.0, 1.0]]
-    K, G = pf.symbol_grams(_term_symbols(curvature), weights,
+    K, G = pf.symbol_grams(_term_products(curvature), weights,
                            pf.factor_moments(basis.factors, basis.family))
     K = finite(0.5 * (K + K.T), "stiffness", mat)
     G = 0.5 * (G + G.T)
@@ -169,6 +176,13 @@ def _term_symbols(curvature):
                 *(part(k) for _, part in CURVATURE_PARTS), *_norm_terms(s))
 
 
+@functools.cache
+def _term_products(curvature):
+    """The stacked symbol products (`polyfield._symbol_products`) of the terms of
+    `_term_symbols`, formed once per curvature operator."""
+    return pf._symbol_products(_term_symbols(curvature))
+
+
 def _norm_terms(s):
     """The terms of the solution-space norm from the state s of u: J and Curl sym J."""
     return s.jacobian, s.k_curl
@@ -181,6 +195,9 @@ def finite(A, what, constants):
     return A
 
 
+_PAIRING_ROWS = pf._PlanCache(pf._TABLE_ENTRIES)  # (family, factors key, D[, face]) -> rows
+
+
 def _load_pairing(basis, family, F, faces=()):
     """Volume pairing of a one-field vector stack F with every basis field, plus face terms.
 
@@ -190,12 +207,20 @@ def _load_pairing(basis, family, F, faces=()):
     X_d[i, j, k] for the cubes X of F or G, (1, 3, D, D, D) in the basis
     family: A = phi Mom on an axis that is integrated, and
     A[n, i] = n_a phi'_n(v) V_i(v) on the normal axis, V the family's 1D values at v.
+    The rows A of the moments and of each face are formed once per family,
+    factor values (`polyfield._value_key`), layout D and face, and held
+    read-only in _PAIRING_ROWS.
     """
     pf._one_family({basis.family, family})
     D = max([basis.factors.shape[-1], F.shape[-1]] + [G.shape[-1] for _, G in faces])
-    Phi = np.zeros((basis.order, D))
-    Phi[:, :basis.factors.shape[-1]] = basis.factors
-    A = Phi @ family.dense_moments(D)
+    key = (family, pf._value_key(basis.factors), D)
+
+    def rows_of(face=None):
+        """The moment rows A, or the normal-axis rows of face, as a held table."""
+        face_key = () if face is None else (face.axis, pf._value_key(face.value))
+        return pf._held_table(_PAIRING_ROWS, key + face_key,
+                              lambda: _pairing_rows(basis.factors, family, D, face),
+                              basis.order * D)
 
     def pair(X, rows):
         """The contraction on X's own layout, which holds all of its nonzeros."""
@@ -204,13 +229,23 @@ def _load_pairing(basis, family, F, faces=()):
         T = A0 @ (A1 @ (X @ A2.T)).reshape(3, d, -1)
         return T.reshape(3, -1).T.ravel()
 
+    A = rows_of()
     b = pair(F, [A] * 3)
     for face, G in faces:
-        V = family.dense_values(D, face.value)
         rows = [A] * 3
-        rows[face.axis] = np.outer(face.normal[face.axis] * (Phi @ family.dense_diff(D).T @ V), V)
+        rows[face.axis] = rows_of(face)
         b += pair(G, rows)
     return b
+
+
+def _pairing_rows(factors, family, D, face=None):
+    """The rows of `_load_pairing` on layout D: phi Mom, or n_a phi'(v) V(v) of a face."""
+    Phi = np.zeros((len(factors), D))
+    Phi[:, :factors.shape[-1]] = factors
+    if face is None:
+        return Phi @ family.dense_moments(D)
+    V = family.dense_values(D, face.value)
+    return np.outer(face.normal[face.axis] * (Phi @ family.dense_diff(D).T @ V), V)
 
 
 def load_vector(basis, f):

@@ -28,11 +28,15 @@ is printed per result. The results are:
     `conformal.elastic_density_identity_gap`;
   - the identity-suite magnitudes at 1, 128 and 129 trials (one block, a full
     block, a full block and one more trial);
-  - `solver.assemble` K and G at bubble orders 1 to 3;
+  - `solver.assemble` K and G at bubble orders 1 to 3, and the axl-route K
+    and G at bubble orders 1 to 3 and sine orders 2 and 3, each assembled
+    twice in one process (the second from the held tables);
   - `solver.manufactured_load` (the coefficients of f, and b) of a random
     displacement of the basis at bubble orders 1 to 3 and sine order 2, and
     `solver.load_vector` of the CLI's generic load at bubble order 2 and of a
-    random TrigPoly load at sine order 2;
+    random TrigPoly load at sine order 2, and one `load_vector` of each
+    basis at order 2 on two layouts, the smaller first (each layout holds
+    rows of its own);
   - `solver.recovery_error` of the solve of a random displacement of the
     basis at bubble orders 1 to 4 and sine order 2, and of exact recovery;
   - `polyfield.batch_gram` of two batched stacks on different layouts (one
@@ -225,6 +229,17 @@ def assembled(rng):
     return out
 
 
+def assembled_twice(rng):
+    """The axl route's K and G of each basis, assembled twice."""
+    out = []
+    for basis in [sv.bubble_basis(order) for order in (1, 2, 3)] + \
+            [sv.sine_basis(order) for order in (2, 3)]:
+        for _ in range(2):
+            asm = sv.assemble(basis, SOLVE_MATERIAL, "axl")
+            out += [asm.K, asm.G]
+    return out
+
+
 def manufactured_loads(rng):
     out = []
     for basis in [sv.bubble_basis(order) for order in (1, 2, 3)] + [sv.sine_basis(2)]:
@@ -253,6 +268,19 @@ def load_vectors(rng):
     f = pf.as_vec([TrigPoly.from_cube(c) for c in cube])
     return [sv.load_vector(sv.bubble_basis(2), cli._generic_load()),
             sv.load_vector(sv.sine_basis(2), f)]
+
+
+def load_vectors_on_two_layouts(rng):
+    """load_vector of random loads at bubble and sine order 2, each on its basis
+    layout and then on a larger one."""
+    out = []
+    for layout in (4, 7):
+        out.append(sv.load_vector(sv.bubble_basis(2), pf.random_vec_field(rng, layout - 1)))
+    for layout in (5, 9):
+        cube = rng.uniform(-1.0, 1.0, (3, layout, layout, layout))
+        f = pf.as_vec([TrigPoly.from_cube(c) for c in cube])
+        out.append(sv.load_vector(sv.sine_basis(2), f))
+    return out
 
 
 def padded_batch_grams(rng):
@@ -375,8 +403,10 @@ VALUES = [
     ("identity_suite+trials128", suite(128)),
     ("identity_suite+trials129", suite(129)),
     ("assemble_K_G", assembled),
+    ("assemble_K_G+axl_twice", assembled_twice),
     ("manufactured_load", manufactured_loads),
     ("load_vector", load_vectors),
+    ("load_vector+two_layouts", load_vectors_on_two_layouts),
     ("recovery_error", recovery_errors),
     ("batch_gram+padded", padded_batch_grams),
     ("coupled_grams+order2", coupled_grams(("cosserat", "microstrain"), 2)),
