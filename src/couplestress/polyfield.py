@@ -463,7 +463,7 @@ class _PlanCache:
 
     def __init__(self, bound=None):
         self.plans = {}
-        self.pairs = 0  # units (term pairs, or points) of the plans held
+        self.pairs = 0  # units (term pairs, points or table entries) of the plans held
         self.bound = bound
 
     def get(self, key, form, pairs):
